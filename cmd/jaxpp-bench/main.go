@@ -545,7 +545,7 @@ func main() {
 			if err != nil {
 				return err
 			}
-			fmt.Printf("ZeRO-sharded epilogue: %d ranks × %d elems over TCP endpoints\n", sh.Ranks, sh.Elems)
+			fmt.Printf("ZeRO-style sharded exchange: %d ranks × %d elems over TCP endpoints\n", sh.Ranks, sh.Elems)
 			fmt.Printf("  optimizer state per rank: dense %d B, sharded %d B (%.1f%%)\n",
 				sh.DenseOptStateBytes, sh.ShardedOptStateBytes, sh.ShardedOptStatePct)
 			fmt.Printf("  dense AllReduce:          %6.2f bus GB/s\n", sh.DenseAllReduceBusGBs)

@@ -7,12 +7,12 @@ import (
 	"repro/internal/dist"
 )
 
-// Sharded-epilogue benchmark tier: the ZeRO exchange pair (bucketed
+// Sharded-exchange benchmark tier: the ZeRO-style collective pair (bucketed
 // ReduceScatterV → AllGatherV) over the same 8 TCP endpoints as the
-// wire-collective tier, next to the dense bucketed AllReduce it replaces.
-// Both epilogues move the identical 2·(n−1)/n·bytes per rank, so their bus
-// bandwidths are directly comparable — the sharding win is the per-rank
-// optimizer-state footprint, reported as bytes dense vs sharded.
+// wire-collective tier, next to the bucketed AllReduce it decomposes. Both
+// move the identical 2·(n−1)/n·bytes per rank, so their bus bandwidths are
+// directly comparable — the sharding win is the per-rank optimizer-state
+// footprint, reported as bytes dense vs sharded.
 
 type shardedStats struct {
 	Ranks int `json:"ranks"`

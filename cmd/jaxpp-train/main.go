@@ -38,7 +38,7 @@ func main() {
 	steps := flag.Int("steps", 20, "training steps")
 	lr := flag.Float64("lr", 0.5, "learning rate")
 	momentum := flag.Float64("momentum", 0, "heavy-ball momentum coefficient (0 = plain SGD)")
-	sharded := flag.Bool("sharded", false, "ZeRO-shard the optimizer states: owner-major ReduceScatter/AllGatherV step epilogue, ~1/world optimizer memory per rank, bit-identical losses (multi-process modes; the single-process run is its own full shard)")
+	sharded := flag.Bool("sharded", false, "ZeRO-shard the optimizer states within each stage's DP group: shard-local update then AllGatherV, ~1/world optimizer memory per rank, bit-identical losses (multi-process modes; the single-process run is its own full shard)")
 	schedName := flag.String("schedule", "1f1b", "gpipe or 1f1b")
 	dp := flag.Int("dp", 0, "data-parallel pipeline replicas (0/1 disables)")
 	spmd := flag.Int("spmd", 1, "virtual SPMD devices per actor")
@@ -48,7 +48,7 @@ func main() {
 	rank := flag.Int("rank", 0, "this process's rank in -distributed mode (0 = coordinator)")
 	coordinator := flag.String("coordinator", "127.0.0.1:29400", "coordinator control address in -distributed mode")
 	crc := flag.Bool("crc", false, "append CRC32 trailers to wire frames")
-	wireDType := flag.String("wire-dtype", "", "gradient wire encoding: f64 (default, lossless), f32, or int8q (error-feedback int8 quantization). Training jobs compress only gradient collective frames; -collective accepts f32 (its integer payloads are f32-exact, so the bit-exact self-check still holds) and rejects int8q")
+	wireDType := flag.String("wire-dtype", "", "-collective only: wire encoding of the verification's data frames, f64 (default, lossless) or f32 (its integer payloads are f32-exact, so the bit-exact self-check still holds); int8q is rejected. Training jobs always ship f64")
 	netLatency := flag.Duration("net-latency", 0, "degraded-network mode: one-way latency added to every cross-rank frame (-distributed; distributed to workers via the job payload)")
 	netJitter := flag.Duration("net-jitter", 0, "degraded-network mode: uniform ±jitter on -net-latency")
 	netBW := flag.Float64("net-bw-gbs", 0, "degraded-network mode: per-link bandwidth cap in GB/s (0 = uncapped)")
@@ -95,6 +95,8 @@ func main() {
 				cs.World, cs.Iters, cs.Elems, cs.BucketBytes)
 		}
 		return
+	} else if *wireDType != "" {
+		log.Fatalf("jaxpp-train: -wire-dtype %q applies to -collective jobs only; training traffic always ships lossless f64", *wireDType)
 	}
 
 	var shape *distrun.ShapeSpec
@@ -111,7 +113,7 @@ func main() {
 		CkptDir: *ckptDir, CkptEvery: *ckptEvery,
 		Profile:   *profile || *traceOut != "",
 		Telemetry: *metricsAddr != "",
-		WireDType: *wireDType, Shape: shape,
+		Shape:     shape,
 	}
 	sessOpts := dist.SessionOptions{
 		Transport:         dist.Options{CRC: *crc},
@@ -133,7 +135,7 @@ func main() {
 	case *distributed && *elastic:
 		rep, err = runElastic(spec, *rank, *coordinator, sessOpts, *minReplicas, *maxAttempts)
 	case *distributed:
-		rep, err = runDistributed(spec, *rank, *coordinator, *crc, sessOpts)
+		rep, err = runDistributed(spec, *rank, *coordinator, sessOpts)
 	case *tcp:
 		var mesh *dist.LocalMesh
 		mesh, err = dist.NewLocalMesh(spec.World(), dist.Options{CRC: *crc})
@@ -274,8 +276,7 @@ func runResumed(statePath string, sessOpts dist.SessionOptions, minReplicas, max
 
 // runDistributed bootstraps this process's rank: rank 0 coordinates (and
 // hosts actor 0), other ranks join exactly like a jaxpp-worker would.
-func runDistributed(spec distrun.JobSpec, rank int, coordinator string, crc bool, opts dist.SessionOptions) (*distrun.Report, error) {
-	opts.Transport = dist.Options{CRC: crc}
+func runDistributed(spec distrun.JobSpec, rank int, coordinator string, opts dist.SessionOptions) (*distrun.Report, error) {
 	opts.WantRank = rank
 	if rank == 0 {
 		sess, err := dist.Coordinate(coordinator, spec.World(), spec.Marshal(), opts)

@@ -1,6 +1,7 @@
 package jaxpp
 
 import (
+	"errors"
 	"strings"
 	"testing"
 )
@@ -55,5 +56,43 @@ func TestHostedActorFilterRefusesUnhostedStep(t *testing.T) {
 func TestHostedActorFilterRejectsOutOfRange(t *testing.T) {
 	if _, err := NewRemoteMesh(2).Compile(hostedSpec([]int{2})); err == nil || !strings.Contains(err.Error(), "out of range") {
 		t.Fatalf("HostActors [2] on a 2-actor cluster: err = %v, want out-of-range", err)
+	}
+}
+
+// TestStepActorValidatesOnlyOwnedParams pins the stage-local contract: a
+// rank passes only its own stage's parameters, so StepActor checks just the
+// ones its actor holds — a nil owned parameter is a named error, not a panic.
+func TestStepActorValidatesOnlyOwnedParams(t *testing.T) {
+	step, err := NewRemoteMesh(2).Compile(hostedSpec([]int{0}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer step.Close()
+	owners, err := step.ParamOwners()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(owners) != 2 || owners[0] != 0 || owners[1] != 1 {
+		t.Fatalf("ParamOwners = %v, want [0 1]", owners)
+	}
+	rng := NewRNG(1)
+	batch := []*Tensor{rng.Normal(1, 16, 8), rng.OneHotBatch(16, 8)}
+	if err := step.StepActor(0, []*Tensor{nil, rng.Xavier(8, 8)}, batch); err == nil || !strings.Contains(err.Error(), "nil") {
+		t.Fatalf("StepActor(0) without its own parameter: err = %v, want a nil-input error", err)
+	}
+}
+
+// TestParamOwnersRejectsGradientAwayFromParameter pins the named error for a
+// program whose gradient lands on a different actor than its parameter:
+// stage-local training state cannot update such a parameter.
+func TestParamOwnersRejectsGradientAwayFromParameter(t *testing.T) {
+	step, err := NewRemoteMesh(2).Compile(hostedSpec(nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer step.Close()
+	step.prog.Grads[0].Actor = 1
+	if _, err := step.ParamOwners(); !errors.Is(err, ErrOwnerMismatch) {
+		t.Fatalf("ParamOwners on a moved gradient: err = %v, want ErrOwnerMismatch", err)
 	}
 }

@@ -4,7 +4,7 @@
 //	<dir>/step-00000042/shard-000.ckpt   one file per rank, wire-codec frames
 //	<dir>/step-00000042/manifest.json    written last, by rank 0, after a barrier
 //
-// Each rank serializes the state entries it owns (round-robin over the world)
+// Each rank serializes the state entries it writes (the ones it holds)
 // as dist wire frames — CRC32 trailers always on, the frame tag carrying the
 // entry index — into a temp file renamed into place, so a crash mid-write
 // never leaves a half shard under a published name. The manifest records the
@@ -16,11 +16,11 @@
 // consistent one instead of poisoning recovery.
 //
 // State entries are the driver-held training state, which in this runtime is
-// the single source of truth the actors are stepped with: the replicated
-// parameter tensors, followed by the optimizer velocity tensors when momentum
-// is enabled. Actor object stores are transient within a step (buffers are
-// reserved at load and consumed by the step's own instructions), so exporting
-// driver state is exporting actor state.
+// the single source of truth the actors are stepped with: the parameter
+// tensors, followed by the optimizer velocity (per tensor, or owner-major
+// flat slices) when momentum is enabled. Actor object stores are transient
+// within a step (buffers are reserved at load and consumed by the step's own
+// instructions), so exporting driver state is exporting actor state.
 package ckpt
 
 import (
@@ -67,16 +67,17 @@ type Manifest struct {
 	Entries  int     `json:"entries"`
 	Momentum float64 `json:"momentum,omitempty"`
 	// OptShardCounts, when non-empty, marks the owner-major sharded optimizer
-	// layout: entry Params+r is rank r's slice of the owner-major flat
-	// velocity vector (OptShardCounts[r] elements, the balanced partition of
-	// the writing world). The flat vector itself — gradient tensors
-	// concatenated in producing-actor order — is a function of the compiled
-	// program only, so a reader of any world size reassembles it and re-slices
-	// (or unpacks to dense per-tensor state) for its own layout: sharded
-	// checkpoints restore across world-size changes and across layout changes
-	// in both directions.
+	// layout: entry Params+k is the k-th slice of the owner-major flat
+	// velocity vector (OptShardCounts[k] elements), slices in flat order. The
+	// flat vector itself — gradient tensors concatenated in producing-actor
+	// order — is a function of the compiled program only, so a reader of any
+	// world size reassembles it and re-slices (or unpacks to dense per-tensor
+	// state) for its own layout: sharded checkpoints restore across
+	// world-size changes and across layout changes in both directions.
 	OptShardCounts []int `json:"opt_shard_counts,omitempty"`
-	// Owners[e] is the rank that wrote entry e (round-robin: e mod World).
+	// Owners[e] is the rank that wrote entry e: round-robin (e mod World)
+	// for NewManifest, the rank that holds the tensor for a stage-local
+	// training job.
 	Owners []int `json:"owners"`
 	// Shards lists every rank's shard file and the entries it carries.
 	Shards      []ShardInfo `json:"shards"`
@@ -90,10 +91,10 @@ type ShardInfo struct {
 	Entries []int  `json:"entries"`
 }
 
-// OwnerOf is the ownership map: entry e is written by rank e mod world.
-// Parameters are replicated on every rank, so any assignment is correct;
-// round-robin spreads checkpoint I/O across the world instead of serializing
-// it through the gradient owners.
+// OwnerOf is the round-robin ownership map: entry e is written by rank e
+// mod world. It suits state every rank holds (the single-process runner's);
+// a stage-local training job instead has each tensor written by the rank
+// that holds it (NewManifestFor).
 func OwnerOf(entry, world int) int { return entry % world }
 
 // Owned returns the entry indices rank writes under the round-robin map.
@@ -113,59 +114,63 @@ func StepDir(dir string, step int) string {
 // ShardFile returns one rank's shard filename within a step directory.
 func ShardFile(rank int) string { return fmt.Sprintf("shard-%03d.ckpt", rank) }
 
-// NewManifest fills a manifest for the given training shape.
+// NewManifest fills a manifest for the given training shape in the dense
+// layout, every entry written under the round-robin map.
 func NewManifest(step, world, stages, width, params int, momentum float64) *Manifest {
 	entries := params
 	if momentum != 0 {
 		entries *= 2
 	}
+	writers := make([]int, entries)
+	for e := range writers {
+		writers[e] = OwnerOf(e, world)
+	}
+	return NewManifestFor(step, world, stages, width, params, momentum, nil, writers)
+}
+
+// NewManifestSharded fills a manifest for the owner-major sharded optimizer
+// layout with round-robin parameter writers and one flat velocity slice per
+// rank: entry Params+r is rank r's slice.
+func NewManifestSharded(step, world, stages, width, params int, momentum float64, optCounts []int) *Manifest {
+	writers := make([]int, params+len(optCounts))
+	for e := range writers {
+		writers[e] = OwnerOf(e, world)
+		if e >= params {
+			writers[e] = e - params
+		}
+	}
+	return NewManifestFor(step, world, stages, width, params, momentum, optCounts, writers)
+}
+
+// NewManifestFor fills a manifest whose entry e was written by rank
+// writers[e] (len(writers) is the entry count). A non-empty optCounts marks
+// the owner-major sharded optimizer layout: entry Params+k is the k-th slice
+// of the flat velocity vector. Every rank of the world gets a shard file,
+// possibly empty, so every rank writes one.
+func NewManifestFor(step, world, stages, width, params int, momentum float64, optCounts, writers []int) *Manifest {
 	m := &Manifest{
 		Version: Version, Step: step, World: world,
 		Stages: stages, Width: width, Params: params,
-		Entries: entries, Momentum: momentum,
-		Owners:      make([]int, entries),
-		SavedAtUnix: time.Now().Unix(),
-	}
-	for e := range m.Owners {
-		m.Owners[e] = OwnerOf(e, world)
+		Entries: len(writers), Momentum: momentum,
+		OptShardCounts: append([]int(nil), optCounts...),
+		Owners:         append([]int(nil), writers...),
+		SavedAtUnix:    time.Now().Unix(),
 	}
 	for r := 0; r < world; r++ {
-		m.Shards = append(m.Shards, ShardInfo{
-			Rank: r, File: ShardFile(r), Entries: Owned(r, world, entries),
-		})
+		m.Shards = append(m.Shards, ShardInfo{Rank: r, File: ShardFile(r), Entries: Written(r, writers)})
 	}
 	return m
 }
 
-// NewManifestSharded fills a manifest for the owner-major sharded optimizer
-// layout: Params replicated parameter entries (round-robin ownership, as in
-// the dense layout) followed by one flat velocity-shard entry per writing
-// rank — entry Params+r is written by rank r alone, since rank r is the only
-// process that holds that slice of the optimizer state.
-func NewManifestSharded(step, world, stages, width, params int, momentum float64, optCounts []int) *Manifest {
-	entries := params + len(optCounts)
-	m := &Manifest{
-		Version: Version, Step: step, World: world,
-		Stages: stages, Width: width, Params: params,
-		Entries: entries, Momentum: momentum,
-		OptShardCounts: append([]int(nil), optCounts...),
-		Owners:         make([]int, entries),
-		SavedAtUnix:    time.Now().Unix(),
-	}
-	for e := 0; e < params; e++ {
-		m.Owners[e] = OwnerOf(e, world)
-	}
-	for r := range optCounts {
-		m.Owners[params+r] = r
-	}
-	for r := 0; r < world; r++ {
-		ents := Owned(r, world, params)
-		if r < len(optCounts) {
-			ents = append(ents, params+r)
+// Written returns the entry indices writers assigns to rank, ascending.
+func Written(rank int, writers []int) []int {
+	var out []int
+	for e, w := range writers {
+		if w == rank {
+			out = append(out, e)
 		}
-		m.Shards = append(m.Shards, ShardInfo{Rank: r, File: ShardFile(r), Entries: ents})
 	}
-	return m
+	return out
 }
 
 // Sharded reports whether the manifest uses the owner-major sharded

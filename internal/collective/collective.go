@@ -218,11 +218,8 @@ type Communicator struct {
 	planBytes  int
 
 	// vcounts is the reusable per-bucket shard-counts scratch of the
-	// variable-shard collectives (vshard.go); vvalid is the segment-validity
-	// scratch of the sparse reduce-scatter (2×group size: global validity
-	// plus the per-bucket working copy).
+	// variable-shard collectives (vshard.go).
 	vcounts []int
-	vvalid  []bool
 }
 
 // bucketPlan returns the fusion-bucket boundaries for ts, recomputing only

@@ -75,41 +75,6 @@ func (c *Communicator) combineChunk(from, tag int, dst []float64, op Op) error {
 	return nil
 }
 
-// combineChunkSparse is combineChunk for the identity-marker protocol of
-// ReduceScatterVSparseInto: a zero-length incoming chunk where data was
-// expected is an identity marker (the sender had accumulated nothing for the
-// segment) and leaves dst untouched. A full-size chunk is reduced into dst
-// when the local accumulation is valid, or copied over it when not —
-// bit-identical to reducing into an identity-filled buffer, without ever
-// materializing one. Returns whether real data arrived.
-func (c *Communicator) combineChunkSparse(from, tag int, dst []float64, dstValid bool, op Op) (bool, error) {
-	hw := obs.TrackTid(scCollWait, c.self())
-	t, err := c.g.tr.Recv(c.self(), from, tag)
-	hw.Stop()
-	if err != nil {
-		return false, err
-	}
-	if t.Size() == 0 && len(dst) > 0 {
-		tensor.Recycle(t) // identity marker: accumulated value unchanged
-		return false, nil
-	}
-	if t.Size() != len(dst) {
-		tensor.Recycle(t)
-		return false, fmt.Errorf("collective: rank %d received chunk of %d elements, expected %d", c.rank, t.Size(), len(dst))
-	}
-	if dstValid {
-		hr := obs.TrackTid(scCollReduce, c.self())
-		op.combine(dst, t.Data())
-		hr.StopBytes(int64(len(dst)) * 8)
-	} else {
-		hc := obs.TrackTid(scCollCopy, c.self())
-		copy(dst, t.Data())
-		hc.StopBytes(int64(len(dst)) * 8)
-	}
-	tensor.Recycle(t)
-	return true, nil
-}
-
 // copyChunk receives a chunk, copies it over dst, and recycles its storage.
 func (c *Communicator) copyChunk(from, tag int, dst []float64) error {
 	hw := obs.TrackTid(scCollWait, c.self())

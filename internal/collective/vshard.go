@@ -2,7 +2,6 @@ package collective
 
 import (
 	"fmt"
-	"math"
 	"sync"
 	"time"
 
@@ -12,11 +11,12 @@ import (
 
 // Variable-shard collectives: ReduceScatterVInto and AllGatherVInto operate
 // on a flat buffer partitioned by an explicit per-rank counts table instead
-// of the balanced chunkRange partition. They are the exchange primitives of
-// the ZeRO-style sharded optimizer epilogue: counts come from the owner-major
-// gradient layout, so shards are uneven in general and may be empty (a rank
-// that owns no entries still participates in every ring step with zero-size
-// chunks to keep tags in lockstep).
+// of the balanced chunkRange partition. Shards are uneven in general and may
+// be empty (a rank that owns no entries still participates in every ring
+// step with zero-size chunks to keep tags in lockstep). The training job's
+// ZeRO-1 epilogue gathers updated parameter slices with AllGatherVInto
+// inside each stage's DP group, and its final parameter gather is one
+// AllGatherVInto in which most ranks contribute nothing.
 
 // EvenCounts returns the balanced partition of n elements over parts shards
 // (the same split chunkRange uses): the first n%parts shards get one extra
@@ -147,154 +147,6 @@ func (c *Communicator) ReduceScatterVInto(dst, data *tensor.Tensor, counts []int
 	return nil
 }
 
-// sumIdentity is the IEEE-754 additive identity: x + (−0.0) is bit-identical
-// to x for every x (including ±0.0), so segments nobody contributed to reduce
-// to −0.0 — exactly what the dense filler path produces when every rank
-// contributes a −0.0 buffer.
-var sumIdentity = math.Copysign(0, -1)
-
-// vvalidScratch returns the communicator-private 2n-element validity scratch
-// (global validity + per-bucket working copy), grown once and reused.
-func (c *Communicator) vvalidScratch(n int) []bool {
-	if cap(c.vvalid) < 2*n {
-		c.vvalid = make([]bool, 2*n)
-	}
-	return c.vvalid[:2*n]
-}
-
-// ReduceScatterVSparseInto is ReduceScatterVInto for a rank whose
-// contribution is confined to the contiguous element range [contribLo,
-// contribHi) of the flat buffer: instead of materializing the additive
-// identity (−0.0) across every element it does not produce — the dense
-// filler path — the rank ships zero-length identity-marker chunks for
-// segments it has nothing for, and receivers copy (rather than reduce) the
-// first real chunk of a segment. data outside the contribution range is
-// never read except in the at-most-two shard segments the range boundaries
-// cut through, which are identity-filled in place up front. The result is
-// bit-identical to the dense path (x + (−0.0) == x bitwise, in any
-// combination order) while skipping both the O(total) fill and the wire
-// traffic for untouched segments. OpSum only — the marker protocol encodes
-// the sum identity. An empty contribution (contribLo == contribHi) is legal:
-// the rank still participates in every ring step.
-func (c *Communicator) ReduceScatterVSparseInto(dst, data *tensor.Tensor, counts []int, contribLo, contribHi int, op Op, bucketBytes int) error {
-	if op != OpSum {
-		return fmt.Errorf("collective: ReduceScatterVSparseInto supports OpSum only (the identity-marker protocol encodes the sum identity)")
-	}
-	n := c.Size()
-	total := data.Size()
-	if err := c.checkCounts(counts, total); err != nil {
-		return err
-	}
-	if dst.Size() != counts[c.rank] {
-		return fmt.Errorf("collective: ReduceScatterVSparseInto destination has %d elements, rank %d owns %d", dst.Size(), c.rank, counts[c.rank])
-	}
-	if dst.Borrowed() || data.Borrowed() {
-		return fmt.Errorf("collective: ReduceScatterVSparseInto buffers must not be borrowed views")
-	}
-	if contribLo < 0 || contribHi > total || contribLo > contribHi {
-		return fmt.Errorf("collective: contribution range [%d, %d) outside flat range [0, %d)", contribLo, contribHi, total)
-	}
-	full := data.Data()
-	valid := c.vvalidScratch(n)
-	gvalid, bvalid := valid[:n], valid[n:]
-	// Global per-shard validity: a shard segment is valid when the
-	// contribution range overlaps it. The at-most-two segments the range
-	// boundaries cut through get their non-contributed portions
-	// identity-filled so the whole segment can travel as real data.
-	gs := 0
-	for r := 0; r < n; r++ {
-		ge := gs + counts[r]
-		olo, ohi := max(gs, contribLo), min(ge, contribHi)
-		gvalid[r] = olo < ohi
-		if gvalid[r] {
-			for i := gs; i < olo; i++ {
-				full[i] = sumIdentity
-			}
-			for i := ohi; i < ge; i++ {
-				full[i] = sumIdentity
-			}
-		}
-		gs = ge
-	}
-	myLo, myHi := vRange(counts, c.rank)
-	if n == 1 {
-		c.opWindow() // consumed even on the fast path to keep counters uniform
-		out := dst.Data()
-		if gvalid[0] {
-			copy(out, full[myLo:myHi])
-		} else {
-			for i := range out {
-				out[i] = sumIdentity
-			}
-		}
-		return nil
-	}
-	if bucketBytes <= 0 {
-		bucketBytes = DefaultBucketBytes
-	}
-	numBuckets := (total*bytesPerElem + bucketBytes - 1) / bucketBytes
-	if numBuckets < 1 {
-		numBuckets = 1
-	}
-	bcounts := c.vcountsScratch(n)
-	dstOff := 0
-	for b := 0; b < numBuckets; b++ {
-		blo, bhi := chunkRange(total, numBuckets, b)
-		gs := 0
-		for r := 0; r < n; r++ {
-			ge := gs + counts[r]
-			lo, hi := max(gs, blo), min(ge, bhi)
-			if hi < lo {
-				hi = lo
-			}
-			bcounts[r] = hi - lo
-			// A bucket piece of shard r inherits r's global validity (the
-			// boundary fill above already made partial segments whole).
-			bvalid[r] = gvalid[r]
-			gs = ge
-		}
-		base := c.opWindow()
-		sub := full[blo:bhi]
-		for s := 0; s < n-1; s++ {
-			sendIdx := ((c.rank-s-1)%n + 2*n) % n
-			recvIdx := ((c.rank-s-2)%n + 2*n) % n
-			slo, shi := vRange(bcounts, sendIdx)
-			rlo, rhi := vRange(bcounts, recvIdx)
-			if bvalid[sendIdx] {
-				c.sendChunk(c.next(), base+s, sub, slo, shi)
-			} else {
-				// Identity marker: zero-length chunk in place of a segment
-				// this rank has accumulated nothing for. Tags stay in
-				// lockstep; the receiver's accumulated value is unchanged.
-				c.sendChunk(c.next(), base+s, sub, slo, slo)
-			}
-			gotData, err := c.combineChunkSparse(c.prev(), base+s, sub[rlo:rhi], bvalid[recvIdx], op)
-			if err != nil {
-				return fmt.Errorf("collective: ReduceScatterVSparseInto bucket %d: %w", b, err)
-			}
-			if gotData {
-				bvalid[recvIdx] = true
-			}
-		}
-		lo, hi := vRange(bcounts, c.rank)
-		out := dst.Data()[dstOff : dstOff+(hi-lo)]
-		if bvalid[c.rank] {
-			copy(out, sub[lo:hi])
-		} else {
-			// No rank contributed to this segment: the dense path would have
-			// summed world copies of −0.0, which is −0.0.
-			for i := range out {
-				out[i] = sumIdentity
-			}
-		}
-		dstOff += hi - lo
-	}
-	if dstOff != myHi-myLo {
-		return fmt.Errorf("collective: ReduceScatterVSparseInto reassembled %d elements for rank %d, want %d", dstOff, c.rank, myHi-myLo)
-	}
-	return nil
-}
-
 // AllGatherVInto gathers variable-size shards from every rank into dst under
 // an explicit counts partition: rank r contributes shard (counts[r] elements)
 // and dst (sum(counts) elements, rank-private mutable storage) receives every
@@ -356,7 +208,7 @@ func (c *Communicator) AllGatherVInto(dst, shard *tensor.Tensor, counts []int) e
 	return nil
 }
 
-// MeasureShardedExchange times the ZeRO epilogue's collective pair — a
+// MeasureShardedExchange times the ZeRO-style collective pair — a
 // bucketed ReduceScatterV of elems float64 elements into balanced per-rank
 // shards followed by an AllGatherV of those shards — over n ranks on tr,
 // mirroring MeasureAllReduce's harness: barrier-aligned starts, warmups that

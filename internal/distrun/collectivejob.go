@@ -175,6 +175,26 @@ func rankValue(spec CollectiveSpec, rank, i, iter int) float64 {
 	return (base + float64(rank+1)) * float64(i%97+1)
 }
 
+// lossyWireConfigurer is the transport capability a lossy collective job
+// needs; the dist TCP Transport and LocalMesh implement it.
+type lossyWireConfigurer interface {
+	SetWireDType(dist.DType)
+	SetLossyTagWindow(lo, hi int)
+}
+
+// armLossyWire marks groupID's collective tag window lossy with the given
+// dtype on a capable transport. Reports whether the transport accepted it.
+func armLossyWire(tr any, dt dist.DType, groupID int) bool {
+	lw, ok := tr.(lossyWireConfigurer)
+	if !ok {
+		return false
+	}
+	lo, hi := collective.GroupTagRange(groupID)
+	lw.SetLossyTagWindow(lo, hi)
+	lw.SetWireDType(dt)
+	return true
+}
+
 // RunCollectiveOn is the transport-level core of the verification job,
 // shared by the multi-process path (dist.Transport) and the LocalMesh
 // rehearsal. rank is this caller's actor ID; every actor 0..World-1 must

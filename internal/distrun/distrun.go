@@ -1,18 +1,19 @@
 // Package distrun executes a training job across OS processes on the dist
 // runtime: every rank compiles the identical program from a shared JobSpec
 // (deterministic replication — same seeds, same schedule), runs its own
-// actor's share of each step over the wire transport, and exchanges step
-// results through the collective engine so parameters evolve bit-identically
-// on every rank. It is the glue between the jaxpp compiler/runtime and the
+// actor's share of each step over the wire transport, and holds and updates
+// only the training state of the pipeline stage its actor runs, bit-identical
+// to the in-process reference. It is the glue between the jaxpp compiler/runtime and the
 // dist coordinator/worker topology that cmd/jaxpp-train -distributed and
 // cmd/jaxpp-worker share.
 package distrun
 
 import (
+	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"log"
-	"math"
 	"sort"
 	"time"
 
@@ -27,22 +28,15 @@ import (
 	"repro/internal/tensor"
 )
 
-// Step-epilogue profiling scopes: the actor's share of the step, then the
-// exchange wall time split into its loss AllGather and gradient AllReduce
-// halves, then the SGD update. These are envelope scopes (they contain the
-// collective and wire leaf spans), so the breakdown classifier excludes them.
+// Step-epilogue profiling scopes: the actor's share of the step, the loss
+// AllGather, then the optimizer update. These are envelope scopes (they
+// contain the collective and wire leaf spans), so the breakdown classifier
+// excludes them.
 var (
 	scStepActor    = obs.Scope("step/actor")
 	scLossGather   = obs.Scope("step/loss_gather")
-	scGradReduce   = obs.Scope("step/grad_allreduce")
 	scSGD          = obs.Scope("step/sgd")
 	cStepsProfiled = obs.Counter("step/count")
-	// scQuantEF times the error-feedback fold + local quantization;
-	// scQuantResidual observes the per-step residual L2 norm in nano-units
-	// (norm × 1e9 as an integer), so profiles show whether the carried
-	// quantization error stays bounded or drifts.
-	scQuantEF       = obs.Scope("step/quant_ef")
-	scQuantResidual = obs.Scope("wire/quant_residual_norm")
 )
 
 // The collective engine runs directly over the multi-process wire transport:
@@ -71,23 +65,23 @@ type JobSpec struct {
 	// nonzero — real optimizer state for checkpoints to carry alongside the
 	// parameters. Zero keeps plain SGD.
 	Momentum float64 `json:"momentum,omitempty"`
-	// Sharded switches the step epilogue from "AllReduce everything, every
-	// rank updates everything" to ZeRO-1-style owner-major sharding: a
-	// bucketed ring ReduceScatter delivers each rank only the gradient slice
-	// it owns, the fused optimizer update runs on that slice against
-	// shard-local optimizer state (~1/world of the replicated footprint), and
-	// a ring AllGatherV of the variable-size updated slices redistributes the
-	// parameters. Bit-identical losses and parameters to the dense path;
-	// checkpoints switch to the owner-major shard layout, which restores
-	// across world-size changes (elastic shrink included).
+	// Sharded switches the step epilogue to ZeRO-1-style sharding inside
+	// each stage's DP group: every replica of a stage already holds the
+	// DP-reduced gradient, so each runs the fused optimizer update on its
+	// even share of the stage's owner-major segment against shard-local
+	// optimizer state (~1/world of the replicated footprint), and a ring
+	// AllGatherV within the DP group redistributes the updated parameters.
+	// Bit-identical losses and parameters to the dense path; checkpoints
+	// switch to the owner-major shard layout, which restores across
+	// world-size changes (elastic shrink included).
 	Sharded      bool   `json:"sharded,omitempty"`
 	Schedule     string `json:"schedule"`      // "gpipe" or "1f1b"
 	DataParallel int    `json:"data_parallel"` // replicas; 0 or 1 disables
 	SPMD         int    `json:"spmd"`          // virtual SPMD devices per actor; 0/1 disables
 	Seed         uint64 `json:"seed"`
 	// CkptDir enables rank-sharded checkpointing when nonempty: every
-	// CkptEvery completed steps each rank writes its owned slice of the
-	// training state (round-robin over the world) as wire-codec frames, a
+	// CkptEvery completed steps each rank writes the training state it holds
+	// (one copy of each tensor) as wire-codec frames, a
 	// barrier fences durability, and rank 0 commits the step with a manifest
 	// (see package ckpt). On start, every rank independently restores the
 	// newest consistent checkpoint and the job resumes at its step. The
@@ -121,14 +115,6 @@ type JobSpec struct {
 	// rendezvous payload so the coordinator's -metrics-addr flag lights up
 	// the whole world without per-worker flags.
 	Telemetry bool `json:"telemetry,omitempty"`
-	// WireDType selects the wire encoding of gradient collective traffic:
-	// "" or "f64" (lossless, the default), "f32" (halves gradient wire
-	// bytes), or "int8q" (~8× smaller, with rank-local error-feedback
-	// residuals carrying the quantization error into the next step). Only
-	// the gradient communicator's tag window compresses — losses, pipeline
-	// activations, control frames, and checkpoints always ship f64. Travels
-	// in the rendezvous payload so one coordinator flag arms the world.
-	WireDType string `json:"wire_dtype,omitempty"`
 	// Shape, when set, wraps every rank's data plane in a dist.ShapedTransport
 	// modeling a degraded network (latency/jitter/bandwidth/loss) — the CI
 	// tier that validates multi-host behavior without netem. Travels in the
@@ -177,7 +163,15 @@ func (s JobSpec) Marshal() []byte {
 	return data
 }
 
-// UnmarshalJobSpec decodes a rendezvous job payload.
+// ErrInvalidJobSpec reports a training job payload whose shape cannot be
+// built: a non-positive stage, microbatch, row or width count, or a negative
+// step count.
+var ErrInvalidJobSpec = errors.New("distrun: invalid job spec")
+
+// UnmarshalJobSpec decodes a rendezvous job payload. Unknown fields are
+// rejected, so a payload from a build that knows options this one does not
+// (a gradient wire dtype, say) fails at rendezvous instead of silently
+// training differently.
 func UnmarshalJobSpec(data []byte) (JobSpec, error) {
 	var s JobSpec
 	if err := json.Unmarshal(data, &s); err != nil {
@@ -186,17 +180,20 @@ func UnmarshalJobSpec(data []byte) (JobSpec, error) {
 	if s.Kind != "" && s.Kind != KindTrain {
 		return s, fmt.Errorf("distrun: payload kind %q is not a training job", s.Kind)
 	}
-	if s.Stages < 1 || s.NumMB < 1 || s.Steps < 0 {
-		return s, fmt.Errorf("distrun: invalid job spec %+v", s)
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&JobSpec{}); err != nil {
+		return s, fmt.Errorf("distrun: bad job payload: %w", err)
 	}
-	if _, err := dist.ParseDType(s.WireDType); err != nil {
-		return s, err
+	if s.Stages < 1 || s.NumMB < 1 || s.MBRows < 1 || s.Width < 1 || s.Steps < 0 {
+		return s, fmt.Errorf("%w: stages %d, microbatches %d, rows %d, width %d, steps %d",
+			ErrInvalidJobSpec, s.Stages, s.NumMB, s.MBRows, s.Width, s.Steps)
 	}
 	return s, nil
 }
 
 // worldGroupID selects the tag window of the all-ranks process group the
-// result exchange runs on. DP-sync groups derived from the actor mesh use
+// loss gather and final parameter gather run on. DP-sync groups derived from the actor mesh use
 // IDs 0..pp-1 (data axis) and pp..pp+replicas-1 (pipe axis, if anyone builds
 // them), so a constant far above any realistic stage or replica count keeps
 // the windows disjoint. The calibration window (TagSpaceBase/2) and pipeline
@@ -204,54 +201,20 @@ func UnmarshalJobSpec(data []byte) (JobSpec, error) {
 // construction.
 const worldGroupID = 1 << 10
 
-// gradGroupID is the dedicated all-ranks group the gradient exchange moves
-// to when a lossy wire dtype is armed: its tag window is disjoint from
-// worldGroupID's, so marking it lossy on the transport compresses exactly
-// the gradient collectives — the loss AllGather, start-step agreement, and
-// every other world-group operation stay on the lossless window.
-const gradGroupID = worldGroupID + 1
-
 // worldComm returns this rank's communicator on the all-ranks process group
 // (ranks 0..world-1 under worldGroupID) — the single construction both the
-// training epilogue and the collective verification job use, so the two
-// paths can never drift onto different tag windows.
+// training job and the collective verification job use, so the two paths
+// can never drift onto different tag windows.
 func worldComm(tr collective.Transport, world, rank int) (*collective.Communicator, error) {
-	return worldCommID(tr, world, rank, worldGroupID)
-}
-
-// worldCommID is worldComm on an explicit group ID (the lossy gradient
-// exchange runs on gradGroupID's window).
-func worldCommID(tr collective.Transport, world, rank, groupID int) (*collective.Communicator, error) {
 	ranks := make([]int, world)
 	for i := range ranks {
 		ranks[i] = i
 	}
-	group, err := collective.NewGroup(tr, ranks, groupID)
+	group, err := collective.NewGroup(tr, ranks, worldGroupID)
 	if err != nil {
 		return nil, err
 	}
 	return group.Comm(rank)
-}
-
-// lossyWireConfigurer is the transport capability the lossy plane needs;
-// the dist TCP Transport and LocalMesh implement it. A transport without it
-// (in-process channels) simply trains lossless.
-type lossyWireConfigurer interface {
-	SetWireDType(dist.DType)
-	SetLossyTagWindow(lo, hi int)
-}
-
-// armLossyWire marks groupID's collective tag window lossy with the given
-// dtype on a capable transport. Reports whether the transport accepted it.
-func armLossyWire(tr any, dt dist.DType, groupID int) bool {
-	lw, ok := tr.(lossyWireConfigurer)
-	if !ok {
-		return false
-	}
-	lo, hi := collective.GroupTagRange(groupID)
-	lw.SetLossyTagWindow(lo, hi)
-	lw.SetWireDType(dt)
-	return true
 }
 
 // RunJob dispatches a rendezvous job payload to its runner: training jobs go
@@ -265,22 +228,6 @@ func RunJob(sess *dist.Session) error { return RunJobProfiled(sess, false) }
 // even if the coordinator's payload did not request profiling. The end-of-job
 // snapshot exchange still follows the payload alone.
 func RunJobProfiled(sess *dist.Session, localProfile bool) error {
-	return RunJobWith(sess, JobOptions{Profile: localProfile})
-}
-
-// JobOptions are rank-local overrides a worker applies on top of the
-// coordinator's payload.
-type JobOptions struct {
-	// Profile logs per-step summaries on this rank (see RunJobProfiled).
-	Profile bool
-	// WireDType overrides the payload's gradient wire encoding on this rank
-	// only. The codec is self-describing per frame, so ranks may legitimately
-	// mix encodings — e.g. canarying compression on one rank of a world.
-	WireDType string
-}
-
-// RunJobWith is RunJob with rank-local JobOptions applied.
-func RunJobWith(sess *dist.Session, opt JobOptions) error {
 	var probe struct {
 		Kind string `json:"kind"`
 	}
@@ -293,13 +240,7 @@ func RunJobWith(sess *dist.Session, opt JobOptions) error {
 		if err != nil {
 			return err
 		}
-		spec.ProfileLocal = opt.Profile
-		if opt.WireDType != "" {
-			if _, err := dist.ParseDType(opt.WireDType); err != nil {
-				return err
-			}
-			spec.WireDType = opt.WireDType
-		}
+		spec.ProfileLocal = localProfile
 		_, err = Run(sess, spec)
 		return err
 	case KindCollective:
@@ -441,24 +382,11 @@ func CompileHosted(spec JobSpec, tr runtime.Transport, hostActors []int) (*jaxpp
 	})
 }
 
-// ApplySGD returns params - lr·grads as fresh tensors.
-func ApplySGD(params, grads []*jaxpp.Tensor, lr float64) ([]*jaxpp.Tensor, error) {
-	next := make([]*jaxpp.Tensor, len(params))
-	for i := range params {
-		next[i] = jaxpp.NewTensor(params[i].Shape()...)
-	}
-	if err := ApplySGDInto(next, params, grads, lr); err != nil {
-		return nil, err
-	}
-	return next, nil
-}
-
 // ApplySGDInto writes params - lr·grads into dst elementwise via the shared
-// model.SGDRange kernel. Both the in-process reference and every distributed
-// rank (dense or sharded) run this exact arithmetic, so parameter
-// trajectories agree bit for bit; drivers double-buffer dst and params and
-// swap after each step, so steady-state training allocates no parameter
-// tensors.
+// model.SGDRange kernel — the kernel every distributed rank runs over its own
+// stage (dense or sharded), so parameter trajectories agree bit for bit; the
+// in-process driver double-buffers dst and params and swaps after each step,
+// so steady-state training allocates no parameter tensors.
 func ApplySGDInto(dst, params, grads []*jaxpp.Tensor, lr float64) error {
 	if len(dst) != len(params) || len(grads) != len(params) {
 		return fmt.Errorf("distrun: SGD arity mismatch: %d dst, %d params, %d grads", len(dst), len(params), len(grads))
@@ -475,10 +403,9 @@ func ApplySGDInto(dst, params, grads []*jaxpp.Tensor, lr float64) error {
 
 // ApplyMomentumInto runs one fused heavy-ball step elementwise via the
 // shared model.MomentumRange kernel: velocity updates in place (v ← mu·v + g)
-// and dst receives params − lr·v. Every rank runs this identical arithmetic
-// over identical inputs, so parameter and velocity trajectories agree bit for
-// bit — the property that lets checkpoints of either be rank-sharded
-// arbitrarily and lets the sharded epilogue update disjoint slices.
+// and dst receives params − lr·v. The kernel is elementwise, so a rank
+// applying it to any slice of the owner-major layout (its stage, or its
+// replica's shard of the stage) reproduces the reference's bits there.
 func ApplyMomentumInto(dst, params, grads, vel []*jaxpp.Tensor, lr, mu float64) error {
 	if len(dst) != len(params) || len(grads) != len(params) || len(vel) != len(params) {
 		return fmt.Errorf("distrun: momentum arity mismatch: %d dst, %d params, %d grads, %d vel", len(dst), len(params), len(grads), len(vel))
@@ -489,26 +416,6 @@ func ApplyMomentumInto(dst, params, grads, vel []*jaxpp.Tensor, lr, mu float64) 
 			return fmt.Errorf("distrun: momentum size mismatch at %d", i)
 		}
 		model.MomentumRange(dd, pd, gd, vd, lr, mu)
-	}
-	return nil
-}
-
-// ApplyAdamInto runs one fused bias-corrected Adam step elementwise via the
-// shared model.AdamRange kernel: moments m and v update in place and dst
-// receives the updated parameters. step is the 1-based optimizer step. Like
-// the other kernels it is shard-decomposable: applying it to disjoint
-// owner-major slices with shard-local m/v reproduces the full update bit for
-// bit (pinned by TestAdamRangeShardDecomposition).
-func ApplyAdamInto(dst, params, grads, m, v []*jaxpp.Tensor, cfg model.AdamConfig, lr float64, step int) error {
-	if len(dst) != len(params) || len(grads) != len(params) || len(m) != len(params) || len(v) != len(params) {
-		return fmt.Errorf("distrun: adam arity mismatch: %d dst, %d params, %d grads, %d m, %d v", len(dst), len(params), len(grads), len(m), len(v))
-	}
-	for i := range params {
-		pd, gd, dd, md, vd := params[i].Data(), grads[i].Data(), dst[i].Data(), m[i].Data(), v[i].Data()
-		if len(pd) != len(gd) || len(pd) != len(dd) || len(pd) != len(md) || len(pd) != len(vd) {
-			return fmt.Errorf("distrun: adam size mismatch at %d", i)
-		}
-		model.AdamRange(dd, pd, gd, md, vd, cfg, lr, step)
 	}
 	return nil
 }
@@ -534,19 +441,10 @@ func newVelocity(spec JobSpec, params []*jaxpp.Tensor) []*jaxpp.Tensor {
 	return vel
 }
 
-// stateEntries flattens the driver-held training state into the checkpoint
-// entry list: parameters first, then velocities when momentum is on. The
-// order is part of the on-disk contract (manifest Entries counts it).
-func stateEntries(params, vel []*jaxpp.Tensor) []*tensor.Tensor {
-	out := make([]*tensor.Tensor, 0, len(params)+len(vel))
-	out = append(out, params...)
-	return append(out, vel...)
-}
-
 // velFlat reassembles a checkpoint's optimizer velocity state into the
 // owner-major flat vector, whichever on-disk layout the manifest uses: a
-// sharded manifest's per-rank flat slices concatenate in rank order (the
-// writing world's partition, recorded in OptShardCounts), a dense manifest's
+// sharded manifest's flat slices concatenate in entry order (the writing
+// world's partition, recorded in OptShardCounts), a dense manifest's
 // per-tensor velocities pack through the plan's order. Because the flat
 // layout is a function of the compiled program only, this is the pivot that
 // lets any (layout, world) checkpoint restore into any (layout, world) job.
@@ -555,8 +453,8 @@ func velFlat(m *ckpt.Manifest, entries []*tensor.Tensor, nparams int, plan *shar
 		off := 0
 		for r, cnt := range m.OptShardCounts {
 			t := entries[nparams+r]
-			if t.Size() != cnt {
-				return fmt.Errorf("distrun: checkpoint velocity shard %d has %d elements, manifest promises %d", r, t.Size(), cnt)
+			if t.Size() != cnt || off+cnt > plan.total {
+				return fmt.Errorf("distrun: checkpoint velocity shard %d has %d elements at offset %d, manifest promises %d of %d", r, t.Size(), off, cnt, plan.total)
 			}
 			copy(flat[off:off+cnt], t.Data())
 			off += cnt
@@ -576,25 +474,25 @@ func velFlat(m *ckpt.Manifest, entries []*tensor.Tensor, nparams int, plan *shar
 	return nil
 }
 
-// restoreState loads the newest consistent checkpoint under spec.CkptDir into
-// the already-allocated training state and returns the step to resume at (0
-// when no usable checkpoint exists — fresh start). Parameters restore
-// directly (replicated in every layout); momentum state pivots through the
-// plan's owner-major flat vector, so dense and sharded checkpoints restore
-// into dense (vel) and sharded (velShard — this rank's slice of the current
-// partition) jobs in any combination and across world-size changes. Every
+// restoreState loads the newest consistent checkpoint under spec.CkptDir and
+// returns the step to resume at (0 when no usable checkpoint exists — fresh
+// start). Parameters restore directly into params (the full set); with
+// momentum, the velocity state comes back as the owner-major flat
+// vector (a pooled tensor the caller recycles), from which each caller takes
+// the range it holds, so dense and sharded checkpoints restore into dense
+// and sharded jobs in any combination and across world-size changes. Every
 // rank calls this independently; the caller is responsible for cross-rank
 // agreement on the returned step.
-func restoreState(spec JobSpec, rank int, params, vel []*jaxpp.Tensor, plan *shardPlan, velShard *tensor.Tensor) (int, error) {
+func restoreState(spec JobSpec, rank int, params []*jaxpp.Tensor, plan *shardPlan) (int, *tensor.Tensor, error) {
 	m, entries, skipped, err := ckpt.Restore(spec.CkptDir)
 	if err != nil {
-		return 0, fmt.Errorf("distrun: rank %d restore: %w", rank, err)
+		return 0, nil, fmt.Errorf("distrun: rank %d restore: %w", rank, err)
 	}
 	for _, s := range skipped {
 		log.Printf("distrun: rank %d skipped unusable checkpoint step %d under %s", rank, s, spec.CkptDir)
 	}
 	if m == nil {
-		return 0, nil
+		return 0, nil, nil
 	}
 	defer func() {
 		for _, t := range entries {
@@ -602,169 +500,70 @@ func restoreState(spec JobSpec, rank int, params, vel []*jaxpp.Tensor, plan *sha
 		}
 	}()
 	if err := m.Compatible(spec.Stages, spec.Width, len(params), spec.Momentum); err != nil {
-		return 0, fmt.Errorf("distrun: rank %d: %w", rank, err)
+		return 0, nil, fmt.Errorf("distrun: rank %d: %w", rank, err)
 	}
 	for i, p := range params {
 		p.CopyFrom(entries[i].Data())
 	}
+	var flat *tensor.Tensor
 	if spec.Momentum != 0 {
-		flat := tensor.GetScratch(plan.total)
-		defer tensor.Recycle(flat)
+		flat = tensor.GetScratch(plan.total)
 		if err := velFlat(m, entries, len(params), plan, flat.Data()); err != nil {
-			return 0, fmt.Errorf("distrun: rank %d: %w", rank, err)
-		}
-		if velShard != nil {
-			lo := plan.starts[rank]
-			copy(velShard.Data(), flat.Data()[lo:lo+plan.counts[rank]])
-		} else {
-			plan.scatter(vel, flat.Data())
+			tensor.Recycle(flat)
+			return 0, nil, fmt.Errorf("distrun: rank %d: %w", rank, err)
 		}
 	}
 	log.Printf("distrun: rank %d restored checkpoint step %d (world %d wrote it, sharded=%v)", rank, m.Step, m.World, m.Sharded())
-	return m.Step, nil
+	return m.Step, flat, nil
 }
 
-// saveCheckpoint writes this rank's shard of the state at the given completed
-// step, barriers so every shard is durable, and has rank 0 commit the step
-// with its manifest and prune old checkpoints. A checkpoint failure is a job
-// failure: half-checkpointing silently would turn the next recovery into a
-// rollback surprise.
-func saveCheckpoint(sess *dist.Session, spec JobSpec, step int, params, vel []*jaxpp.Tensor) error {
-	entries := stateEntries(params, vel)
-	owned := ckpt.Owned(sess.Rank, sess.World, len(entries))
-	if err := ckpt.WriteShard(spec.CkptDir, step, sess.Rank, entries, owned); err != nil {
-		return fmt.Errorf("distrun: rank %d checkpoint step %d: %w", sess.Rank, step, err)
+// commitCheckpoint publishes a step whose shards are all durable, then
+// prunes old checkpoints.
+func commitCheckpoint(dir string, m *ckpt.Manifest) error {
+	if err := ckpt.WriteManifest(dir, m); err != nil {
+		return fmt.Errorf("distrun: commit checkpoint step %d: %w", m.Step, err)
 	}
-	if err := sess.Barrier(); err != nil {
-		return fmt.Errorf("distrun: rank %d checkpoint barrier step %d: %w", sess.Rank, step, err)
-	}
-	if sess.Rank != 0 {
-		return nil
-	}
-	m := ckpt.NewManifest(step, sess.World, spec.Stages, spec.Width, len(params), spec.Momentum)
-	if err := ckpt.WriteManifest(spec.CkptDir, m); err != nil {
-		return fmt.Errorf("distrun: commit checkpoint step %d: %w", step, err)
-	}
-	if err := ckpt.Prune(spec.CkptDir, 0); err != nil {
+	if err := ckpt.Prune(dir, 0); err != nil {
 		return fmt.Errorf("distrun: prune checkpoints: %w", err)
 	}
 	return nil
 }
 
-// saveCheckpointSharded writes a checkpoint in the owner-major sharded
-// optimizer layout: each rank's shard carries its round-robin share of the
-// replicated parameters plus the one flat velocity-shard entry only it holds
-// (entry len(params)+rank). Rank 0 commits with a sharded manifest recording
-// the writing world's partition, which any future world re-slices on restore.
-func saveCheckpointSharded(sess *dist.Session, spec JobSpec, step int, params []*jaxpp.Tensor, sh *shardedState) error {
-	entries := make([]*tensor.Tensor, len(params)+sh.plan.world)
-	copy(entries, params)
-	entries[len(params)+sess.Rank] = sh.vel
-	owned := append(ckpt.Owned(sess.Rank, sess.World, len(params)), len(params)+sess.Rank)
-	if err := ckpt.WriteShard(spec.CkptDir, step, sess.Rank, entries, owned); err != nil {
-		return fmt.Errorf("distrun: rank %d sharded checkpoint step %d: %w", sess.Rank, step, err)
-	}
-	if err := sess.Barrier(); err != nil {
-		return fmt.Errorf("distrun: rank %d checkpoint barrier step %d: %w", sess.Rank, step, err)
-	}
-	if sess.Rank != 0 {
-		return nil
-	}
-	m := ckpt.NewManifestSharded(step, sess.World, spec.Stages, spec.Width, len(params), spec.Momentum, sh.plan.counts)
-	if err := ckpt.WriteManifest(spec.CkptDir, m); err != nil {
-		return fmt.Errorf("distrun: commit sharded checkpoint step %d: %w", step, err)
-	}
-	if err := ckpt.Prune(spec.CkptDir, 0); err != nil {
-		return fmt.Errorf("distrun: prune checkpoints: %w", err)
-	}
-	return nil
-}
-
-// saveCheckpointLocal is saveCheckpoint for the single-process runner: one
-// shard (rank 0 owns every entry), immediately committed.
+// saveCheckpointLocal writes the single-process runner's checkpoint: one
+// shard (rank 0 owns every entry: parameters first, then velocities when
+// momentum is on), immediately committed.
 func saveCheckpointLocal(spec JobSpec, step int, params, vel []*jaxpp.Tensor) error {
-	entries := stateEntries(params, vel)
+	entries := append(append([]*tensor.Tensor(nil), params...), vel...)
 	if err := ckpt.WriteShard(spec.CkptDir, step, 0, entries, ckpt.Owned(0, 1, len(entries))); err != nil {
 		return fmt.Errorf("distrun: local checkpoint step %d: %w", step, err)
 	}
-	m := ckpt.NewManifest(step, 1, spec.Stages, spec.Width, len(params), spec.Momentum)
-	if err := ckpt.WriteManifest(spec.CkptDir, m); err != nil {
-		return fmt.Errorf("distrun: commit local checkpoint step %d: %w", step, err)
-	}
-	if err := ckpt.Prune(spec.CkptDir, 0); err != nil {
-		return fmt.Errorf("distrun: prune checkpoints: %w", err)
-	}
-	return nil
-}
-
-// negZero fills the slots a rank does not own in the gradient exchange:
-// IEEE-754 addition has x + (-0.0) == x bit for bit for every x (including
-// x == -0.0, which x + (+0.0) would flip to +0.0), so a ring all-reduce over
-// one real contribution and world-1 negative-zero fills reproduces the
-// owner's gradient exactly — in any combine order — and the exchange stays
-// bit-compatible with the in-process reference even for gradients that
-// contain negative zeros (ReLU masking produces them).
-var negZero = math.Copysign(0, -1)
-
-// applyErrorFeedback runs the rank-local half of int8 error-feedback
-// compression on the dense gradient exchange. For each owned gradient with
-// carried residual r and fresh contribution g: the compensated value is
-// c = g + r, the wire carries q = Q(c) (the int8 round trip, applied here so
-// this rank reduces exactly the values remote ranks decode), and the new
-// residual is r' = c − q. Unowned slots hold negative-zero fills, which
-// quantize to themselves, so they need no compensation. The residual L2 norm
-// is observed per step (in nano-units) — bounded norm means the compression
-// error re-enters the sum instead of accumulating as drift.
-func applyErrorFeedback(exch, res []*tensor.Tensor, owned []bool) {
-	var sq float64
-	for gi, r := range res {
-		if r == nil || !owned[gi] {
-			continue
-		}
-		g := exch[gi].Data()
-		rd := r.Data()
-		for i := range g {
-			rd[i] += g[i]
-			g[i] = rd[i]
-		}
-		dist.LossyRoundTrip(dist.DTInt8Q, g)
-		for i := range g {
-			rd[i] -= g[i]
-			sq += rd[i] * rd[i]
-		}
-	}
-	obs.Observe(scQuantResidual, int64(math.Sqrt(sq)*1e9))
+	return commitCheckpoint(spec.CkptDir, ckpt.NewManifest(step, 1, spec.Stages, spec.Width, len(params), spec.Momentum))
 }
 
 // Run executes the job on this rank of a bootstrapped session: compile the
 // shared program with this rank's actor hosted, run the actor every step,
-// and run the result exchange on the collective engine over the wire
-// transport — losses travel to every rank (rank 0 records them) through one
-// ring AllGather, gradients through one bucketed ring AllReduce whose
-// traffic is the ring's 2·(N−1)/N volume per rank instead of the O(world)
-// point-to-point sends the pre-wire-collective epilogue issued. Every rank
-// then applies the identical SGD update. Blocks until the job completes or
-// the transport is poisoned (a dead peer surfaces here as an error, not a
-// hang).
+// gather the step's losses to every rank (rank 0 records them) through one
+// ring AllGather, and update the stage's parameters from the gradients the
+// runtime's in-step DP AllReduce already delivered to every replica — no
+// gradient crosses a stage boundary. At the end of a job that ran steps, one
+// lossless AllGatherV hands every rank the full parameter set. Blocks until
+// the job completes or the transport is poisoned (a dead peer surfaces here
+// as an error, not a hang).
 func Run(sess *dist.Session, spec JobSpec) (*Report, error) {
 	if sess.World != spec.World() {
 		return nil, fmt.Errorf("distrun: session world %d, job wants %d (= %d replicas × %d stages)", sess.World, spec.World(), spec.Replicas(), spec.Stages)
 	}
-	wireDT, err := dist.ParseDType(spec.WireDType)
-	if err != nil {
-		return nil, err
-	}
 	var tr runtime.Transport = sess.Transport
 	if spec.Shape != nil {
 		// Degraded-network mode: every cross-rank frame rides the link shaper.
-		// The shaper sits above the dist transport, so the wire codec (and the
-		// lossy dtype plane below) is unchanged — only delivery timing is.
+		// The shaper sits above the dist transport, so the wire codec is
+		// unchanged — only delivery timing is.
 		shaped := dist.NewShapedTransport(sess.Transport, spec.Shape.Opts())
 		defer shaped.Stop()
 		tr = shaped
 	}
 	rank := sess.Rank
-	flight.Log("run_start", rank, -1, fmt.Sprintf("world %d sharded=%v telemetry=%v wire=%s shaped=%v", sess.World, spec.Sharded, spec.Telemetry, wireDT, spec.Shape != nil))
+	flight.Log("run_start", rank, -1, fmt.Sprintf("world %d sharded=%v telemetry=%v shaped=%v", sess.World, spec.Sharded, spec.Telemetry, spec.Shape != nil))
 	host := []int{rank}
 	if spec.NoHostedFilter {
 		host = nil
@@ -796,25 +595,25 @@ func Run(sess *dist.Session, spec JobSpec) (*Report, error) {
 		lossSlots = max(lossSlots, len(mbs))
 	}
 
-	// The all-ranks process group the epilogue collectives run on. The dist
-	// transport serializes sends (SenderOwnsSent), so ring chunks come from
-	// and return to this process's scratch pool.
+	// The all-ranks process group the loss and final parameter gathers run
+	// on. The dist transport serializes sends (SenderOwnsSent), so ring
+	// chunks come from and return to this process's scratch pool.
 	comm, err := worldComm(tr, sess.World, rank)
 	if err != nil {
 		return nil, err
 	}
-	// Gradient traffic optionally rides a lossy wire encoding. The transport's
-	// lossy plane is armed per collective tag window, so only frames in the
-	// gradient communicator's window compress — control frames, loss gathers,
-	// checkpoint traffic, and the parameter AllGather of the sharded epilogue
-	// all stay f64 end to end. When no lossy dtype is requested, gradComm is
-	// simply the world communicator and nothing changes on the wire.
-	gradComm := comm
-	if !wireDT.Lossless() {
-		if !armLossyWire(sess.Transport, wireDT, gradGroupID) {
-			return nil, fmt.Errorf("distrun: transport %T cannot carry lossy wire dtype %s", sess.Transport, wireDT)
+	var dp *collective.Communicator
+	if spec.Sharded {
+		// This stage's DP group: the ranks running the same pipeline actor.
+		dpRanks := make([]int, spec.Replicas())
+		for r := range dpRanks {
+			dpRanks[r] = r*pp + rank%pp
 		}
-		if gradComm, err = worldCommID(tr, sess.World, rank, gradGroupID); err != nil {
+		group, err := collective.NewGroup(tr, dpRanks, stageGroupID)
+		if err != nil {
+			return nil, err
+		}
+		if dp, err = group.Comm(rank / pp); err != nil {
 			return nil, err
 		}
 	}
@@ -823,29 +622,15 @@ func Run(sess *dist.Session, spec JobSpec) (*Report, error) {
 	if len(prog.Grads) != len(params) {
 		return nil, fmt.Errorf("distrun: program has %d gradients for %d parameters", len(prog.Grads), len(params))
 	}
-	// The owner-major shard plan is derived from program metadata on every
-	// rank identically. Built even for dense jobs: the restore path pivots
-	// momentum state through it, so dense jobs resume from sharded
-	// checkpoints (and vice versa).
-	plan, err := planForStep(ts, params, sess.World)
+	plan, err := planForStep(ts, params)
 	if err != nil {
 		return nil, err
 	}
-	var sh *shardedState
-	var vel []*jaxpp.Tensor
-	if spec.Sharded {
-		sh = newShardedState(spec, plan, rank)
-		defer sh.release()
-	} else {
-		vel = newVelocity(spec, params)
-	}
+	st := newStageState(spec, plan, rank, params, dp)
+	defer st.release()
 	startStep := 0
 	if spec.CkptDir != "" {
-		var velShard *tensor.Tensor
-		if sh != nil {
-			velShard = sh.vel
-		}
-		if startStep, err = restoreState(spec, rank, params, vel, plan, velShard); err != nil {
+		if startStep, err = st.restore(params); err != nil {
 			return nil, err
 		}
 		// Start-step agreement: every rank restored independently from disk,
@@ -873,48 +658,16 @@ func Run(sess *dist.Session, spec JobSpec) (*Report, error) {
 			flight.Log("restore", rank, startStep, "resumed from checkpoint")
 		}
 	}
-	// Gradient owners are the replica-0 actors, whose global IDs equal
-	// their per-replica IDs — derived from metadata once, so the per-step
-	// fill below skips the tensors this rank overwrites with real payloads.
-	ownedGrad := make([]bool, len(prog.Grads))
-	for gi, g := range prog.Grads {
-		ownedGrad[gi] = g.Actor == rank
+	rep := &Report{Rank: rank, World: sess.World, StartStep: startStep}
+	// A job that runs no step ends where it started, and every rank derived
+	// or restored every stage's starting parameters itself: there is nothing
+	// to gather. Otherwise only this rank's stage stays referenced.
+	if startStep >= spec.Steps {
+		rep.FinalParams = params
 	}
-	// Steady-state buffers, reused every step: the SGD double buffer and the
-	// gradient-exchange tensors the ring reduces in place (dense path only —
-	// the sharded epilogue carries its own flat buffer set in shardedState,
-	// with the update landing in a persistent ~1/world shard buffer instead
-	// of a full-size double buffer), the loss shard and gather destination,
-	// and the per-step result struct.
-	var next []*jaxpp.Tensor
-	var exch []*tensor.Tensor
-	var efRes []*tensor.Tensor
-	if sh == nil {
-		next = make([]*jaxpp.Tensor, len(params))
-		exch = make([]*tensor.Tensor, len(params))
-		for i, p := range params {
-			next[i] = jaxpp.NewTensor(p.Shape()...)
-			exch[i] = tensor.GetScratchShaped(p.Shape()...)
-		}
-		if wireDT == dist.DTInt8Q {
-			// Error-feedback residuals, one per owned gradient, zeroed at the
-			// start: each step the carried residual folds into the contribution
-			// before quantization and retains the new quantization error after,
-			// so what the wire drops this step re-enters the sum next step.
-			// Residuals are strictly rank-local — they never travel and never
-			// enter checkpoints.
-			efRes = make([]*tensor.Tensor, len(params))
-			for gi, p := range params {
-				if ownedGrad[gi] {
-					efRes[gi] = tensor.GetScratchShaped(p.Shape()...)
-					clear(efRes[gi].Data())
-				}
-			}
-		}
-	} else {
-		sh.syncParams(params)
-		sh.armErrorFeedback(wireDT == dist.DTInt8Q)
-	}
+	params = st.params
+	// Steady-state buffers, reused every step: the loss shard and gather
+	// destination, and the per-step result struct.
 	shard := tensor.GetScratch(lossSlots)
 	gathered := tensor.GetScratch(sess.World * lossSlots)
 	defer func() {
@@ -922,14 +675,6 @@ func Run(sess *dist.Session, spec JobSpec) (*Report, error) {
 		// that retries jobs keeps its scratch pool warm.
 		tensor.Recycle(shard)
 		tensor.Recycle(gathered)
-		for _, t := range exch {
-			tensor.Recycle(t)
-		}
-		for _, t := range efRes {
-			if t != nil {
-				tensor.Recycle(t)
-			}
-		}
 	}()
 	res := &jaxpp.ActorResults{}
 
@@ -945,7 +690,6 @@ func Run(sess *dist.Session, spec JobSpec) (*Report, error) {
 	}
 	sampler := newStepSampler(rank, tr)
 	var stepPrev [3]time.Duration
-	rep := &Report{Rank: rank, World: sess.World, StartStep: startStep}
 	for step := startStep; step < spec.Steps; step++ {
 		stepStart := time.Now()
 		ha := obs.TrackTid(scStepActor, rank)
@@ -961,8 +705,8 @@ func Run(sess *dist.Session, spec JobSpec) (*Report, error) {
 		// Losses: every rank packs its owned microbatch losses into a
 		// fixed-size shard (padded — shard sizes must match around the
 		// ring) and one AllGather hands rank 0 the full set. The gather
-		// doubles as the step-exchange ordering fence the point-to-point
-		// path got from its grad-receipt barrier.
+		// also fences the step: once it returns, every peer has finished
+		// its actor's program, so nothing reads this rank's parameters.
 		sd := shard.Data()
 		clear(sd)
 		for i, l := range res.Losses {
@@ -986,56 +730,11 @@ func Run(sess *dist.Session, spec JobSpec) (*Report, error) {
 			}
 		}
 
-		if sh != nil {
-			// Sharded epilogue: ReduceScatterV → shard-local update →
-			// AllGatherV, bit-identical to the dense path (see exchange).
-			if err := sh.exchange(comm, gradComm, spec, res, ownedGrad, params); err != nil {
-				return nil, fmt.Errorf("distrun: rank %d step %d %w", rank, step, err)
-			}
-		} else {
-			// Gradients: the owning ranks (replica-0 actors) hold the already
-			// DP-all-reduced sums; everyone else contributes negative zeros,
-			// the IEEE additive identity (see negZero), so the bucketed ring
-			// AllReduce delivers every gradient to every rank bit-exactly.
-			for gi, t := range exch {
-				if ownedGrad[gi] {
-					continue // overwritten with the real payload below
-				}
-				d := t.Data()
-				for i := range d {
-					d[i] = negZero
-				}
-			}
-			for i, gi := range res.GradIdx {
-				exch[gi].CopyFrom(res.Grads[i].Data())
-				tensor.Recycle(res.Grads[i])
-			}
-			if efRes != nil {
-				hq := obs.TrackTid(scQuantEF, rank)
-				applyErrorFeedback(exch, efRes, ownedGrad)
-				hq.Stop()
-			}
-			hg := obs.TrackTid(scGradReduce, rank)
-			err = gradComm.AllReduceBucketsInPlace(exch, collective.OpSum, 0)
-			hg.Stop()
-			if err != nil {
-				return nil, fmt.Errorf("distrun: rank %d step %d grad all-reduce: %w", rank, step, err)
-			}
-
-			hs := obs.TrackTid(scSGD, rank)
-			err = applyUpdate(spec, next, params, exch, vel)
-			hs.Stop()
-			if err != nil {
-				return nil, err
-			}
-			params, next = next, params
+		if err := st.update(res); err != nil {
+			return nil, fmt.Errorf("distrun: rank %d step %d %w", rank, step, err)
 		}
 		if every := spec.ckptEvery(); every > 0 && (step+1)%every == 0 && step+1 < spec.Steps {
-			if sh != nil && sh.vel != nil {
-				if err := saveCheckpointSharded(sess, spec, step+1, params, sh); err != nil {
-					return nil, err
-				}
-			} else if err := saveCheckpoint(sess, spec, step+1, params, vel); err != nil {
+			if err := st.save(sess, step+1); err != nil {
 				return nil, err
 			}
 			flight.Log("ckpt_commit", rank, step+1, "")
@@ -1055,6 +754,11 @@ func Run(sess *dist.Session, spec JobSpec) (*Report, error) {
 		}
 		if spec.StepSleepMs > 0 {
 			time.Sleep(time.Duration(spec.StepSleepMs) * time.Millisecond)
+		}
+	}
+	if rep.FinalParams == nil {
+		if rep.FinalParams, err = st.finalParams(comm, sess.World); err != nil {
+			return nil, err
 		}
 	}
 	// End-of-job barrier: no rank tears its session down while a slower peer
@@ -1093,7 +797,6 @@ func Run(sess *dist.Session, spec JobSpec) (*Report, error) {
 			}
 		}
 	}
-	rep.FinalParams = params
 	return rep, nil
 }
 
@@ -1123,14 +826,19 @@ func RunLocalOn(spec JobSpec, tr runtime.Transport) (*Report, error) {
 	vel := newVelocity(spec, params)
 	startStep := 0
 	if spec.CkptDir != "" {
-		// World-1 plan: the owner-major flat order is world-independent, so
-		// the single-process runner restores sharded checkpoints too.
-		plan, perr := planForStep(ts, params, 1)
+		// The owner-major flat order is world-independent, so the
+		// single-process runner restores sharded checkpoints too.
+		plan, perr := planForStep(ts, params)
 		if perr != nil {
 			return nil, perr
 		}
-		if startStep, err = restoreState(spec, 0, params, vel, plan, nil); err != nil {
+		var flat *tensor.Tensor
+		if startStep, flat, err = restoreState(spec, 0, params, plan); err != nil {
 			return nil, err
+		}
+		if flat != nil {
+			plan.scatter(vel, flat.Data())
+			tensor.Recycle(flat)
 		}
 	}
 	if spec.Profile {

@@ -17,6 +17,20 @@ import (
 // job on each, returning rank 0's report.
 func launchWorld(t *testing.T, spec JobSpec) *Report {
 	t.Helper()
+	reports := make([]*Report, spec.World())
+	launchSessions(t, spec, func(sess *dist.Session, spec JobSpec) error {
+		rep, err := Run(sess, spec)
+		reports[sess.Rank] = rep
+		return err
+	})
+	return reports[0]
+}
+
+// launchSessions bootstraps spec.World() sessions like launchWorld and calls
+// job on each with the spec that rank received (workers decode it from the
+// rendezvous payload).
+func launchSessions(t *testing.T, spec JobSpec, job func(*dist.Session, JobSpec) error) {
+	t.Helper()
 	world := spec.World()
 	opts := dist.SessionOptions{
 		RendezvousTimeout: 30 * time.Second,
@@ -31,7 +45,6 @@ func launchWorld(t *testing.T, spec JobSpec) *Report {
 	addr := ln.Addr().String()
 	ln.Close()
 
-	reports := make([]*Report, world)
 	errs := make([]error, world)
 	var wg sync.WaitGroup
 	wg.Add(1)
@@ -43,7 +56,7 @@ func launchWorld(t *testing.T, spec JobSpec) *Report {
 			return
 		}
 		defer sess.Close()
-		reports[0], errs[0] = Run(sess, spec)
+		errs[0] = job(sess, spec)
 	}()
 	for w := 1; w < world; w++ {
 		wg.Add(1)
@@ -68,7 +81,7 @@ func launchWorld(t *testing.T, spec JobSpec) *Report {
 				errs[w] = err
 				return
 			}
-			reports[sess.Rank], errs[sess.Rank] = Run(sess, got)
+			errs[sess.Rank] = job(sess, got)
 		}(w)
 	}
 	wg.Wait()
@@ -77,7 +90,62 @@ func launchWorld(t *testing.T, spec JobSpec) *Report {
 			t.Fatalf("rank %d: %v", r, err)
 		}
 	}
-	return reports[0]
+}
+
+// TestStageLocalWireTraffic pins each rank's data-plane bytes per step
+// exactly, from the transport's own payload counter: the bytes of a
+// spec.Steps-step job minus those of a 1-step job (which compiles,
+// initializes and gathers the final parameters the same), per extra step. With
+// stage-local state no gradient crosses a stage boundary: a pipeline moves
+// only activations, activation gradients and the loss gather, and a sharded
+// DP world adds only the in-step DP AllReduce and one AllGatherV shard.
+func TestStageLocalWireTraffic(t *testing.T) {
+	const mbRows, width, numMB = 4, 16, 4
+	act := int64(8 * mbRows * width) // one microbatch activation (or its gradient)
+	param := int64(8 * width * width)
+	lossGather := int64(8 * numMB) // the loss shard each rank sends once around a 2-rank ring
+	cases := []struct {
+		name string
+		spec JobSpec
+		want int64
+	}{
+		// Stage 0 sends numMB activations, stage 1 numMB activation
+		// gradients; zero gradient bytes.
+		{"pp2", JobSpec{Stages: 2}, numMB*act + lossGather},
+		// The 2-rank ring AllReduce sends 2·(n−1)/n of the gradient; the
+		// AllGatherV sends this rank's half of the updated parameters.
+		{"dp2-sharded", JobSpec{Stages: 1, DataParallel: 2, Momentum: 0.9, Sharded: true}, param + param/2 + lossGather},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			spec := tc.spec
+			spec.NumMB, spec.MBRows, spec.Width = numMB, mbRows, width
+			spec.Steps, spec.LR, spec.Schedule, spec.Seed = 3, 0.1, "1f1b", 5
+			perStep := make([]int64, spec.World())
+			launchSessions(t, spec, func(sess *dist.Session, spec JobSpec) error {
+				bytes := func(spec JobSpec) (int64, error) {
+					_, before := sess.Transport.SendCount()
+					_, err := Run(sess, spec)
+					_, after := sess.Transport.SendCount()
+					return after - before, err
+				}
+				one := spec
+				one.Steps = 1
+				b1, err := bytes(one)
+				if err != nil {
+					return err
+				}
+				bs, err := bytes(spec)
+				perStep[sess.Rank] = (bs - b1) / int64(spec.Steps-1)
+				return err
+			})
+			for r, got := range perStep {
+				if got != tc.want {
+					t.Errorf("rank %d: %d bytes per step, want %d", r, got, tc.want)
+				}
+			}
+		})
+	}
 }
 
 // requireBitIdentical compares two reports' loss trajectories and final

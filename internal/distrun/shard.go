@@ -2,70 +2,54 @@ package distrun
 
 import (
 	"fmt"
-	"log"
-	"math"
 	"sort"
 
 	jaxpp "repro"
 	"repro/internal/collective"
-	"repro/internal/dist"
-	"repro/internal/model"
-	"repro/internal/obs"
-	"repro/internal/tensor"
 )
 
-// Sharded-epilogue profiling scopes: the two collectives that replace the
-// dense gradient AllReduce when JobSpec.Sharded is on. Envelope scopes (they
-// contain the collective and wire leaf spans), so the breakdown classifier
-// excludes them; step/sgd still times the (now shard-local) update.
-var (
-	scGradRS  = obs.Scope("step/grad_reducescatter")
-	scParamAG = obs.Scope("step/param_allgatherv")
-)
-
-// shardPlan is the owner-major flat layout of the gradient/parameter vector
-// and its balanced partition over the world — the owner tables of the
-// ZeRO-1-style epilogue. The layout orders gradient tensors by producing
-// actor (the replica-0 stage actors, from program metadata every rank
-// compiles identically), then by gradient index, and concatenates them into
-// one flat vector. The ordering depends only on the compiled program — not
-// on the world size — which is what makes it the canonical representation
-// owner-major checkpoints restore through across world-size changes; only
-// the counts partition is a function of the world.
+// shardPlan is the owner-major flat layout of the parameter vector (and of
+// the gradient and velocity vectors that mirror it): tensors ordered by the
+// pipeline actor that holds them, then by index, concatenated into one flat
+// vector. Each actor's tensors form one contiguous segment. The layout
+// depends only on the compiled program — not on the world size — which is
+// what makes it the canonical representation checkpoints restore through
+// across world-size and layout changes.
 type shardPlan struct {
-	world int
-	total int
-	// order[k] is the gradient index occupying flat range [off[k], off[k+1]).
+	// owners[gi] is the pipeline actor that holds parameter gi.
+	owners []int
+	total  int
+	// order[k] is the parameter index occupying flat range [off[k], off[k+1]).
 	order []int
 	off   []int
-	// gradOff[gi] is the flat offset of gradient gi (inverse of order/off).
+	// gradOff[gi] is the flat offset of parameter gi (inverse of order/off).
 	gradOff []int
-	// counts/starts is the balanced per-rank partition of [0, total): rank r
-	// owns (updates) flat range [starts[r], starts[r]+counts[r]). Shards are
-	// uneven whenever world does not divide total, and empty when the world
-	// outnumbers the elements.
-	counts []int
-	starts []int
+	// seg[a]..seg[a+1] is the flat segment of pipeline actor a's tensors.
+	seg []int
 }
 
-// newShardPlan derives the plan from the gradient owner table and tensor
-// sizes (owners[gi] is the producing actor of gradient gi, sizes[gi] its
-// element count).
-func newShardPlan(owners, sizes []int, world int) (*shardPlan, error) {
+// newShardPlan derives the plan from the owner table (owners[gi] is the
+// pipeline actor of parameter gi, in [0, actors)) and the tensor sizes.
+func newShardPlan(owners, sizes []int, actors int) (*shardPlan, error) {
 	if len(owners) != len(sizes) {
 		return nil, fmt.Errorf("distrun: shard plan wants %d owners for %d tensors", len(owners), len(sizes))
 	}
-	if world < 1 {
-		return nil, fmt.Errorf("distrun: shard plan world %d", world)
-	}
 	p := &shardPlan{
-		world:   world,
+		owners:  owners,
 		order:   make([]int, len(owners)),
 		off:     make([]int, len(owners)+1),
 		gradOff: make([]int, len(owners)),
+		seg:     make([]int, actors+1),
 	}
-	for i := range p.order {
+	for i, a := range owners {
+		if a < 0 || a >= actors {
+			return nil, fmt.Errorf("distrun: shard plan owner %d of tensor %d outside %d actors", a, i, actors)
+		}
 		p.order[i] = i
+		p.seg[a+1] += sizes[i]
+	}
+	for a := 0; a < actors; a++ {
+		p.seg[a+1] += p.seg[a]
 	}
 	sort.SliceStable(p.order, func(a, b int) bool {
 		ga, gb := p.order[a], p.order[b]
@@ -79,30 +63,34 @@ func newShardPlan(owners, sizes []int, world int) (*shardPlan, error) {
 		p.gradOff[gi] = p.off[k]
 	}
 	p.total = p.off[len(p.order)]
-	p.counts = collective.EvenCounts(p.total, world)
-	p.starts = make([]int, world)
-	for r := 1; r < world; r++ {
-		p.starts[r] = p.starts[r-1] + p.counts[r-1]
-	}
 	return p, nil
 }
 
-// planForStep builds the plan for a compiled step over the given world:
-// owners come from the shared program metadata (TrainStep.GradOwners), sizes
-// from the replicated parameters the gradients mirror.
-func planForStep(ts *jaxpp.TrainStep, params []*jaxpp.Tensor, world int) (*shardPlan, error) {
+// planForStep builds the plan for a compiled step: owners come from the
+// shared program metadata (TrainStep.ParamOwners, which also enforces that
+// every gradient is produced where its parameter lives), sizes from the
+// initial parameters.
+func planForStep(ts *jaxpp.TrainStep, params []*jaxpp.Tensor) (*shardPlan, error) {
+	owners, err := ts.ParamOwners()
+	if err != nil {
+		return nil, err
+	}
 	sizes := make([]int, len(params))
 	for i, p := range params {
 		sizes[i] = p.Size()
 	}
-	return newShardPlan(ts.GradOwners(), sizes, world)
+	return newShardPlan(owners, sizes, ts.NumActors()/ts.NumReplicas())
 }
 
-// gather packs the tensor list into the owner-major flat vector.
-func (p *shardPlan) gather(flat []float64, ts []*jaxpp.Tensor) {
-	for k, gi := range p.order {
-		copy(flat[p.off[k]:p.off[k+1]], ts[gi].Data())
+// zeroCounts is the ZeRO-1 partition of the flat vector in owner-major
+// order: each actor's segment split evenly over the stage's replicas, so
+// slice a·replicas+r is held by rank r·actors+a.
+func (p *shardPlan) zeroCounts(replicas int) []int {
+	var out []int
+	for a := 0; a+1 < len(p.seg); a++ {
+		out = append(out, collective.EvenCounts(p.seg[a+1]-p.seg[a], replicas)...)
 	}
+	return out
 }
 
 // scatter unpacks the owner-major flat vector into the tensor list.
@@ -110,214 +98,4 @@ func (p *shardPlan) scatter(ts []*jaxpp.Tensor, flat []float64) {
 	for k, gi := range p.order {
 		ts[gi].CopyFrom(flat[p.off[k]:p.off[k+1]])
 	}
-}
-
-// shardedState is the steady-state buffer set of the sharded epilogue, all
-// allocated once per job and reused every step (the step-alloc ceiling
-// counts on it):
-//
-//	flatG  — packed per-rank gradient contribution, consumed by the RS-V ring
-//	gShard — this rank's fully reduced owned gradient slice
-//	uShard — this rank's updated parameter slice (the persistent shard buffer
-//	         that replaces the dense path's full-size double buffer)
-//	flatP  — the full flat parameter vector: AGV destination and the update's
-//	         parameter source, kept in sync with the param tensors
-//	vel    — shard-local optimizer state (momentum velocities), the ~1/world
-//	         memory win; nil for plain SGD
-type shardedState struct {
-	plan   *shardPlan
-	rank   int
-	flatG  *tensor.Tensor
-	gShard *tensor.Tensor
-	uShard *tensor.Tensor
-	flatP  *tensor.Tensor
-	vel    *tensor.Tensor
-	// ef arms int8 error-feedback compression of the gradient ReduceScatterV;
-	// efRes carries the rank-local quantization residual over this rank's
-	// contributed flat range (allocated lazily on the first exchange, sized to
-	// the contribution — not plan.total — to preserve the sharded memory win).
-	// Like the dense path's residuals, it never travels and is not
-	// checkpointed: a restore restarts compensation from zero.
-	ef     bool
-	efRes  *tensor.Tensor
-	efBase int
-}
-
-// newShardedState allocates the epilogue buffers for this rank and logs the
-// per-rank optimizer-state footprint (the line the CI memory assertion
-// greps).
-func newShardedState(spec JobSpec, plan *shardPlan, rank int) *shardedState {
-	s := &shardedState{
-		plan:   plan,
-		rank:   rank,
-		flatG:  tensor.GetScratchZero(plan.total),
-		gShard: tensor.GetScratchZero(plan.counts[rank]),
-		uShard: tensor.GetScratchZero(plan.counts[rank]),
-		flatP:  tensor.GetScratchZero(plan.total),
-	}
-	shardBytes, denseBytes := 0, 0
-	if spec.Momentum != 0 {
-		s.vel = tensor.GetScratchZero(plan.counts[rank])
-		shardBytes, denseBytes = 8*plan.counts[rank], 8*plan.total
-	}
-	pct := 0.0
-	if denseBytes > 0 {
-		pct = 100 * float64(shardBytes) / float64(denseBytes)
-	}
-	log.Printf("distrun: rank %d sharded optimizer state %d/%d bytes (%.1f%% of replicated, world %d)",
-		rank, shardBytes, denseBytes, pct, plan.world)
-	return s
-}
-
-// release recycles the buffer set (keeps a job-retrying process's scratch
-// pool warm).
-func (s *shardedState) release() {
-	tensor.Recycle(s.flatG)
-	tensor.Recycle(s.gShard)
-	tensor.Recycle(s.uShard)
-	tensor.Recycle(s.flatP)
-	if s.vel != nil {
-		tensor.Recycle(s.vel)
-	}
-	if s.efRes != nil {
-		tensor.Recycle(s.efRes)
-	}
-}
-
-// armErrorFeedback turns the int8 error-feedback transform on (or off) for
-// subsequent exchanges.
-func (s *shardedState) armErrorFeedback(on bool) { s.ef = on }
-
-// syncParams refreshes the flat parameter mirror from the param tensors.
-// Called once after init/restore; every subsequent step's AllGatherV writes
-// the updated vector straight into flatP.
-func (s *shardedState) syncParams(params []*jaxpp.Tensor) {
-	s.plan.gather(s.flatP.Data(), params)
-}
-
-// exchange runs one sharded step epilogue: pack this rank's gradient
-// contribution (owned gradients real, everything else the −0.0 additive
-// identity), ReduceScatterV so each rank receives only the slice it owns,
-// run the fused optimizer update on that slice against shard-local state,
-// AllGatherV the updated slices back into the full flat vector, and scatter
-// it into the param tensors. Because −0.0 filler reduces to the owner's bits
-// in any combine order and the update kernels are elementwise, the resulting
-// parameters are bit-identical to the dense AllReduce path.
-//
-// The gradient ReduceScatterV runs on gradComm — the communicator whose tag
-// window the transport may mark lossy — while the parameter AllGatherV stays
-// on comm: parameters must never quantize, or every rank's weights would
-// degrade once per step regardless of error feedback.
-func (s *shardedState) exchange(comm, gradComm *collective.Communicator, spec JobSpec, res *jaxpp.ActorResults, ownedGrad []bool, params []*jaxpp.Tensor) error {
-	p := s.plan
-	fg := s.flatG.Data()
-	// Contributed flat range: the union of this rank's owned gradient
-	// segments. The owner-major layout makes the union contiguous, so the
-	// sparse ReduceScatterV can skip the −0.0 filler writes — and the wire
-	// traffic — for every shard this rank contributes nothing to, sending a
-	// zero-length identity marker instead. If the owner table is ever
-	// non-contiguous (or a payload lands outside it), fall back to the dense
-	// filler path; both produce bit-identical shards.
-	contribLo, contribHi, ownedElems := p.total, 0, 0
-	for k, gi := range p.order {
-		if !ownedGrad[gi] {
-			continue
-		}
-		if p.off[k] < contribLo {
-			contribLo = p.off[k]
-		}
-		if p.off[k+1] > contribHi {
-			contribHi = p.off[k+1]
-		}
-		ownedElems += p.off[k+1] - p.off[k]
-	}
-	if contribLo > contribHi {
-		contribLo, contribHi = 0, 0
-	}
-	sparse := ownedElems == contribHi-contribLo
-	for _, gi := range res.GradIdx {
-		if !ownedGrad[gi] {
-			sparse = false
-			break
-		}
-	}
-	if !sparse {
-		for k, gi := range p.order {
-			if ownedGrad[gi] {
-				continue // overwritten with the real payload below
-			}
-			seg := fg[p.off[k]:p.off[k+1]]
-			for i := range seg {
-				seg[i] = negZero
-			}
-		}
-	}
-	for i, gi := range res.GradIdx {
-		gd := res.Grads[i].Data()
-		copy(fg[p.gradOff[gi]:p.gradOff[gi]+len(gd)], gd)
-		tensor.Recycle(res.Grads[i])
-	}
-	if s.ef && contribHi > contribLo {
-		// Error feedback over the contributed segments, per owned gradient
-		// (matching the dense path's per-tensor quantization grid): fold the
-		// carried residual in, replace the contribution with its own int8
-		// round trip, keep the new error for next step.
-		hq := obs.TrackTid(scQuantEF, s.rank)
-		if s.efRes == nil {
-			s.efRes = tensor.GetScratchZero(contribHi - contribLo)
-			s.efBase = contribLo
-		}
-		var sq float64
-		rd := s.efRes.Data()
-		for k, gi := range p.order {
-			if !ownedGrad[gi] {
-				continue
-			}
-			g := fg[p.off[k]:p.off[k+1]]
-			r := rd[p.off[k]-s.efBase : p.off[k+1]-s.efBase]
-			for i := range g {
-				r[i] += g[i]
-				g[i] = r[i]
-			}
-			dist.LossyRoundTrip(dist.DTInt8Q, g)
-			for i := range g {
-				r[i] -= g[i]
-				sq += r[i] * r[i]
-			}
-		}
-		obs.Observe(scQuantResidual, int64(math.Sqrt(sq)*1e9))
-		hq.Stop()
-	}
-
-	hg := obs.TrackTid(scGradRS, s.rank)
-	var err error
-	if sparse {
-		err = gradComm.ReduceScatterVSparseInto(s.gShard, s.flatG, p.counts, contribLo, contribHi, collective.OpSum, 0)
-	} else {
-		err = gradComm.ReduceScatterVInto(s.gShard, s.flatG, p.counts, collective.OpSum, 0)
-	}
-	hg.Stop()
-	if err != nil {
-		return fmt.Errorf("grad reduce-scatter: %w", err)
-	}
-
-	lo := p.starts[s.rank]
-	hi := lo + p.counts[s.rank]
-	hs := obs.TrackTid(scSGD, s.rank)
-	if spec.Momentum != 0 {
-		model.MomentumRange(s.uShard.Data(), s.flatP.Data()[lo:hi], s.gShard.Data(), s.vel.Data(), spec.LR, spec.Momentum)
-	} else {
-		model.SGDRange(s.uShard.Data(), s.flatP.Data()[lo:hi], s.gShard.Data(), spec.LR)
-	}
-	hs.Stop()
-
-	ha := obs.TrackTid(scParamAG, s.rank)
-	err = comm.AllGatherVInto(s.flatP, s.uShard, p.counts)
-	ha.Stop()
-	if err != nil {
-		return fmt.Errorf("param all-gatherv: %w", err)
-	}
-	// The param tensors the actors are stepped with mirror the flat vector.
-	p.scatter(params, s.flatP.Data())
-	return nil
 }

@@ -6,13 +6,15 @@ import (
 	"os"
 	"testing"
 
+	jaxpp "repro"
 	"repro/internal/collective"
 )
 
 // TestShardPlanOwnerMajorLayout pins the owner-major flat layout: gradient
 // tensors sort by (producing actor, gradient index), offsets are exact prefix
-// sums, gradOff inverts the permutation, and the balanced partition covers
-// [0, total) contiguously.
+// sums, gradOff inverts the permutation, each actor's tensors form one
+// segment, and the ZeRO-1 partition splits every segment evenly over the
+// replicas, covering [0, total) contiguously.
 func TestShardPlanOwnerMajorLayout(t *testing.T) {
 	owners := []int{1, 0, 2, 0}
 	sizes := []int{3, 4, 2, 5}
@@ -36,58 +38,81 @@ func TestShardPlanOwnerMajorLayout(t *testing.T) {
 	if p.total != 14 {
 		t.Fatalf("total %d, want 14", p.total)
 	}
-	wantCounts := collective.EvenCounts(14, 3)
-	sum, start := 0, 0
-	for r := range p.counts {
-		if p.counts[r] != wantCounts[r] {
-			t.Fatalf("counts %v, want %v", p.counts, wantCounts)
+	wantSeg := []int{0, 9, 12, 14}
+	for a, off := range wantSeg {
+		if p.seg[a] != off {
+			t.Fatalf("segments %v, want %v", p.seg, wantSeg)
 		}
-		if p.starts[r] != start {
-			t.Fatalf("starts %v: rank %d at %d, want %d", p.starts, r, p.starts[r], start)
+	}
+	for _, replicas := range []int{1, 2, 3, 5} {
+		counts := p.zeroCounts(replicas)
+		var want []int
+		for a := 0; a < 3; a++ {
+			want = append(want, collective.EvenCounts(wantSeg[a+1]-wantSeg[a], replicas)...)
 		}
-		start += p.counts[r]
-		sum += p.counts[r]
+		sum := 0
+		for k := range want {
+			if counts[k] != want[k] {
+				t.Fatalf("replicas %d: counts %v, want %v", replicas, counts, want)
+			}
+			sum += counts[k]
+		}
+		if len(counts) != len(want) || sum != p.total {
+			t.Fatalf("replicas %d: partition %v covers %d of %d", replicas, counts, sum, p.total)
+		}
 	}
-	if sum != p.total {
-		t.Fatalf("partition covers %d of %d", sum, p.total)
+	if _, err := newShardPlan([]int{0, 3}, []int{1, 1}, 3); err == nil {
+		t.Fatal("owner outside the pipeline accepted")
 	}
+}
 
-	// The layout must be world-independent: only counts/starts change.
-	p2, err := newShardPlan(owners, sizes, 5)
+// TestShardedStateMemoryIsOneOverWorld pins the stage-local memory claims at
+// the unit level: a dense rank holds the parameters and velocity of its own
+// stage only (1/PP of the model), and a sharded rank's velocity holds at most
+// ceil(total/world) elements — the balanced 1/world slice.
+func TestShardedStateMemoryIsOneOverWorld(t *testing.T) {
+	const pp = 4
+	owners := []int{0, 1, 2, 3}
+	sizes := []int{100, 100, 100, 100}
+	p, err := newShardPlan(owners, sizes, pp)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for k := range p.order {
-		if p2.order[k] != p.order[k] {
-			t.Fatalf("order depends on world: %v vs %v", p2.order, p.order)
-		}
-	}
-}
-
-// TestShardedStateMemoryIsOneOverWorld pins the ZeRO memory claim at the unit
-// level: the shard-local velocity buffer holds at most ceil(total/world)
-// elements — the balanced 1/world slice — versus the dense path's full total.
-func TestShardedStateMemoryIsOneOverWorld(t *testing.T) {
-	owners := []int{0, 1, 2, 3}
-	sizes := []int{100, 100, 100, 100}
-	for _, world := range []int{2, 3, 4, 7} {
-		p, err := newShardPlan(owners, sizes, world)
-		if err != nil {
-			t.Fatal(err)
-		}
+	for _, dp := range []int{1, 2, 3, 7} {
+		world := pp * dp
 		ceil := (p.total + world - 1) / world
-		for r := 0; r < world; r++ {
-			s := newShardedState(JobSpec{Momentum: 0.9}, p, r)
-			if got := s.vel.Size(); got > ceil {
-				t.Fatalf("world %d rank %d: velocity shard %d elems, want <= ceil(%d/%d)=%d", world, r, got, p.total, world, ceil)
+		for _, sharded := range []bool{false, true} {
+			spec := JobSpec{Stages: pp, DataParallel: dp, Momentum: 0.9, Sharded: sharded}
+			for r := 0; r < world; r++ {
+				params := make([]*jaxpp.Tensor, len(sizes))
+				for i, n := range sizes {
+					params[i] = jaxpp.NewTensor(n)
+				}
+				s := newStageState(spec, p, r, params, nil)
+				held := 0
+				for _, q := range s.params {
+					if q != nil {
+						held += q.Size()
+					}
+				}
+				if held != p.total/pp {
+					t.Fatalf("dp %d sharded=%v rank %d: holds %d parameter elems, want %d (1/PP)", dp, sharded, r, held, p.total/pp)
+				}
+				got := s.vel.Size()
+				if !sharded && got != p.total/pp {
+					t.Fatalf("dp %d rank %d: dense velocity %d elems, want %d (1/PP)", dp, r, got, p.total/pp)
+				}
+				if sharded && got > ceil {
+					t.Fatalf("world %d rank %d: velocity shard %d elems, want <= ceil(%d/%d)=%d", world, r, got, p.total, world, ceil)
+				}
+				s.release()
 			}
-			s.release()
 		}
 	}
 }
 
-// TestShardedMatchesReplicated is the tentpole acceptance test: the
-// ZeRO-sharded epilogue (ReduceScatterV → shard-local update → AllGatherV)
+// TestShardedMatchesReplicated is the ZeRO acceptance test: the sharded
+// epilogue (shard-local update → AllGatherV inside the stage's DP group)
 // must produce per-step losses AND post-step parameter bits identical to the
 // dense in-process reference, for plain SGD and momentum, across NPOT and
 // power-of-two worlds over real TCP ranks.

@@ -1,116 +1,11 @@
 package distrun
 
 import (
-	"math"
 	"strings"
 	"testing"
 
 	"repro/internal/dist"
 )
-
-// TestInt8QErrorFeedbackBoundedDivergence trains 200 steps with int8q
-// gradient compression and error feedback over real TCP ranks and pins the
-// loss divergence against the f64 in-process reference: quantization noise
-// must stay bounded (the residuals re-inject what each lossy send dropped)
-// and must not stop the model from converging. This is the acceptance test
-// for the lossy wire plane — without error feedback the quantization bias
-// accumulates and the divergence grows without bound.
-func TestInt8QErrorFeedbackBoundedDivergence(t *testing.T) {
-	spec := JobSpec{
-		Stages: 2, NumMB: 4, MBRows: 4, Width: 16,
-		Steps: 200, LR: 0.1, Schedule: "1f1b", Seed: 1,
-	}
-	ref, err := RunLocal(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	spec.WireDType = "int8q"
-	got := launchWorld(t, spec)
-
-	if len(got.StepLosses) != len(ref.StepLosses) {
-		t.Fatalf("steps: %d vs %d", len(got.StepLosses), len(ref.StepLosses))
-	}
-	// Divergence metric: per-step loss error relative to the reference loss,
-	// floored so near-zero reference losses do not inflate the ratio.
-	maxRel := 0.0
-	for s := range ref.StepLosses {
-		rel := math.Abs(got.StepLosses[s]-ref.StepLosses[s]) / math.Max(math.Abs(ref.StepLosses[s]), 1e-3)
-		if rel > maxRel {
-			maxRel = rel
-		}
-	}
-	t.Logf("max relative loss divergence over %d steps: %.4g", spec.Steps, maxRel)
-	// Pinned bound: observed ~1e-2 on this config; 0.05 leaves margin for
-	// platform FP scheduling differences without masking an EF regression
-	// (dropping the residual re-injection sends this over 1 within tens of
-	// steps).
-	const tol = 0.05
-	if maxRel > tol {
-		t.Fatalf("loss divergence %.4g exceeds pinned bound %v", maxRel, tol)
-	}
-	// The quantized run must still train, not merely track the reference.
-	first, last := got.StepLosses[0], got.StepLosses[len(got.StepLosses)-1]
-	if !(last < 0.5*first) {
-		t.Fatalf("int8q run failed to converge: loss %v -> %v", first, last)
-	}
-}
-
-// TestShardedInt8QErrorFeedbackConverges runs the ZeRO-sharded epilogue under
-// int8q: the lossy ReduceScatterV carries quantized gradients (with the
-// shard-local residual), while the parameter AllGatherV must stay lossless.
-func TestShardedInt8QErrorFeedbackConverges(t *testing.T) {
-	spec := JobSpec{
-		Stages: 2, NumMB: 4, MBRows: 4, Width: 16,
-		Steps: 120, LR: 0.1, Schedule: "1f1b", Seed: 2, Sharded: true,
-	}
-	ref, err := RunLocal(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	spec.WireDType = "int8q"
-	got := launchWorld(t, spec)
-
-	maxRel := 0.0
-	for s := range ref.StepLosses {
-		rel := math.Abs(got.StepLosses[s]-ref.StepLosses[s]) / math.Max(math.Abs(ref.StepLosses[s]), 1e-3)
-		if rel > maxRel {
-			maxRel = rel
-		}
-	}
-	t.Logf("sharded max relative loss divergence: %.4g", maxRel)
-	if maxRel > 0.05 {
-		t.Fatalf("sharded int8q divergence %.4g exceeds bound", maxRel)
-	}
-	first, last := got.StepLosses[0], got.StepLosses[len(got.StepLosses)-1]
-	if !(last < 0.5*first) {
-		t.Fatalf("sharded int8q run failed to converge: loss %v -> %v", first, last)
-	}
-}
-
-// TestF32WireStaysConvergentAndClose runs the same job with f32 gradient
-// frames: no error feedback is needed at f32 precision, and the loss
-// trajectory must track the f64 reference to float32-roundoff tightness —
-// far tighter than the int8q band.
-func TestF32WireStaysConvergentAndClose(t *testing.T) {
-	spec := JobSpec{
-		Stages: 2, NumMB: 4, MBRows: 4, Width: 16,
-		Steps: 50, LR: 0.1, Schedule: "1f1b", Seed: 1,
-	}
-	ref, err := RunLocal(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	spec.WireDType = "f32"
-	got := launchWorld(t, spec)
-	for s := range ref.StepLosses {
-		rel := math.Abs(got.StepLosses[s]-ref.StepLosses[s]) / math.Max(math.Abs(ref.StepLosses[s]), 1e-6)
-		if rel > 1e-3 {
-			t.Fatalf("step %d: f32 loss %v strays %v from reference %v", s, got.StepLosses[s], rel, ref.StepLosses[s])
-		}
-	}
-}
 
 // TestShapedRunStaysBitIdentical runs the DP×PP job through ShapedTransport
 // (latency, jitter, and a bandwidth cap) and requires losses and final
@@ -156,13 +51,14 @@ func TestCollectiveSpecWireDTypes(t *testing.T) {
 }
 
 // TestJobSpecRejectsBadWireDType checks the rendezvous payload validation: a
-// typo'd wire dtype fails at decode on every rank, not at step time.
+// training payload carrying a gradient wire dtype — which training jobs no
+// longer take — fails at decode on every rank, not by silently training on
+// f64 while the coordinator believed it compressed.
 func TestJobSpecRejectsBadWireDType(t *testing.T) {
-	spec := JobSpec{
-		Stages: 2, NumMB: 2, MBRows: 2, Width: 8,
-		Steps: 1, LR: 0.1, Schedule: "1f1b", Seed: 1, WireDType: "q4",
-	}
-	if _, err := UnmarshalJobSpec(spec.Marshal()); err == nil || !strings.Contains(err.Error(), "wire dtype") {
-		t.Fatalf("bad wire_dtype accepted: %v", err)
+	for _, dt := range []string{"q4", "int8q"} {
+		payload := `{"stages":2,"num_mb":2,"mb_rows":2,"width":8,"steps":1,"lr":0.1,"schedule":"1f1b","seed":1,"wire_dtype":"` + dt + `"}`
+		if _, err := UnmarshalJobSpec([]byte(payload)); err == nil || !strings.Contains(err.Error(), "wire_dtype") {
+			t.Fatalf("wire_dtype %q accepted: %v", dt, err)
+		}
 	}
 }

@@ -197,20 +197,6 @@ func (e *Executable) transportErr() error {
 	return nil
 }
 
-// GradOwners returns the producing actor of each gradient output in program
-// order (replica-0 global actor IDs). It is derived purely from the shared
-// program metadata every rank compiles identically, so under the hosted-actor
-// filter a rank learns the full owner table — who produces which gradient —
-// without any peer actor existing locally. The sharded optimizer epilogue
-// lays its owner-major flat layout out from exactly this table.
-func (e *Executable) GradOwners() []int {
-	out := make([]int, len(e.prog.Grads))
-	for i, g := range e.prog.Grads {
-		out[i] = g.Actor
-	}
-	return out
-}
-
 // Hosts reports whether this load materialized the given global actor (true
 // for every actor on an unfiltered load).
 func (e *Executable) Hosts(actor int) bool {
@@ -323,7 +309,7 @@ func (e *Executable) StepInto(inputs, losses, grads []*tensor.Tensor) error {
 	if err := e.transportErr(); err != nil {
 		return err
 	}
-	if err := e.validateInputs(inputs); err != nil {
+	if err := e.validateInputs(inputs, -1); err != nil {
 		return err
 	}
 	actors := e.cluster.Actors
@@ -376,16 +362,20 @@ func (e *Executable) StepInto(inputs, losses, grads []*tensor.Tensor) error {
 }
 
 // validateInputs checks arity, parameter shapes, and batch leading
-// dimensions once per step.
-func (e *Executable) validateInputs(inputs []*tensor.Tensor) error {
+// dimensions once per step. only filters the parameter checks like place:
+// only >= 0 checks just the parameters placed on that per-replica actor.
+func (e *Executable) validateInputs(inputs []*tensor.Tensor, only int) error {
 	prog := e.prog
 	src := prog.Split.Source
 	if len(inputs) != len(src.Inputs) {
 		return fmt.Errorf("runtime: %d inputs for %d graph inputs", len(inputs), len(src.Inputs))
 	}
 	for i, p := range prog.Params {
-		if p == nil {
+		if p == nil || (only >= 0 && p.Actor != only) {
 			continue
+		}
+		if inputs[i] == nil {
+			return fmt.Errorf("runtime: input %d is nil but actor %d holds it", i, p.Actor)
 		}
 		if !inputs[i].HasShape(src.Inputs[i].Shape) {
 			return fmt.Errorf("runtime: input %d shape %v, expected %v", i, inputs[i].Shape(), src.Inputs[i].Shape)
@@ -471,9 +461,10 @@ func (e *Executable) runActor(global int, a *Actor) error {
 // the multi-process runtime (package dist), where every OS process hosts
 // exactly one of the executable's actors and peers run their own shares
 // concurrently over a shared wire transport. inputs carry the same full
-// global batch and parameters on every process (deterministic replication);
-// only the slices this actor owns are placed. Collect this actor's results
-// with TakeActorResults afterwards.
+// global batch on every process (deterministic replication); only the
+// parameters placed on this actor are validated and placed, so the caller
+// may pass nil for every other parameter. Collect this actor's results with
+// TakeActorResults afterwards.
 func (e *Executable) StepActor(actor int, inputs []*tensor.Tensor) error {
 	if actor < 0 || actor >= len(e.cluster.Actors) {
 		return fmt.Errorf("runtime: actor %d out of range (cluster of %d)", actor, len(e.cluster.Actors))
@@ -484,7 +475,7 @@ func (e *Executable) StepActor(actor int, inputs []*tensor.Tensor) error {
 	if err := e.transportErr(); err != nil {
 		return err
 	}
-	if err := e.validateInputs(inputs); err != nil {
+	if err := e.validateInputs(inputs, actor%e.pp); err != nil {
 		return err
 	}
 	e.place(actor/e.pp, actor%e.pp, inputs)
@@ -496,9 +487,10 @@ func (e *Executable) StepActor(actor int, inputs []*tensor.Tensor) error {
 
 // ActorResults are the step outputs owned by one global actor: losses by
 // global microbatch index (replica-major, as Step orders them) and final
-// gradients by parameter-gradient index. Gradients are reported only by
-// replica-0 actors — after the DP epilogue all-reduce every replica holds
-// identical sums, and Step's contract returns replica 0's.
+// gradients by parameter-gradient index. Every replica reports its
+// gradients: after the DP epilogue all-reduce each replica of a pipeline
+// position holds bit-identical sums, so each can update its own copy of the
+// stage's parameters without a further exchange.
 type ActorResults struct {
 	LossMB  []int
 	Losses  []*tensor.Tensor
@@ -546,18 +538,16 @@ func (e *Executable) TakeActorResultsInto(actor int, res *ActorResults) error {
 		res.LossMB = append(res.LossMB, r*numMB+mb)
 		res.Losses = append(res.Losses, t)
 	}
-	if r == 0 {
-		for gi, g := range prog.Grads {
-			if g.Actor != a {
-				continue
-			}
-			t, err := store.Take(g.Buf)
-			if err != nil {
-				return fmt.Errorf("runtime: actor %d grad %d: %w", actor, gi, err)
-			}
-			res.GradIdx = append(res.GradIdx, gi)
-			res.Grads = append(res.Grads, t)
+	for gi, g := range prog.Grads {
+		if g.Actor != a {
+			continue
 		}
+		t, err := store.Take(g.Buf)
+		if err != nil {
+			return fmt.Errorf("runtime: actor %d grad %d: %w", actor, gi, err)
+		}
+		res.GradIdx = append(res.GradIdx, gi)
+		res.Grads = append(res.Grads, t)
 	}
 	return nil
 }

@@ -30,6 +30,7 @@
 package jaxpp
 
 import (
+	"errors"
 	"fmt"
 	"time"
 
@@ -369,8 +370,9 @@ func (t *TrainStep) NumActors() int { return t.exe.Replicas() * t.exe.ActorsPerR
 
 // StepActor runs one global actor's share of a step — the per-process entry
 // point for multi-process training, where each OS process hosts one actor
-// and every process passes identical params and the identical full global
-// batch (deterministic replication). Peers must run their shares
+// and every process passes the identical full global batch (deterministic
+// replication). Only the parameters the actor owns (ParamOwners) are
+// validated and placed; the others may be nil. Peers must run their shares
 // concurrently; collect this rank's outputs with TakeActorResults.
 func (t *TrainStep) StepActor(actor int, params, batch []*Tensor) error {
 	inputs, err := t.stageInputs(params, batch)
@@ -384,7 +386,8 @@ func (t *TrainStep) StepActor(actor int, params, batch []*Tensor) error {
 type ActorResults = runtime.ActorResults
 
 // TakeActorResults fetches the losses and gradients the given global actor
-// produced this step, with ownership transfer.
+// produced this step, with ownership transfer. With DataParallel on, the
+// gradients are already summed over every replica, on every replica.
 func (t *TrainStep) TakeActorResults(actor int) (*ActorResults, error) {
 	return t.exe.TakeActorResults(actor)
 }
@@ -435,8 +438,31 @@ func (t *TrainStep) MemoryStats() []runtime.StoreStats { return t.exe.StoreStats
 // Program exposes the compiled MPMD program (for inspection and tests).
 func (t *TrainStep) Program() *taskgraph.Program { return t.prog }
 
-// GradOwners returns the producing actor of each gradient output in program
-// order — the owner table the ZeRO-sharded step epilogue derives its
-// owner-major layout from. Available on every rank under the hosted-actor
-// filter (it reads shared program metadata, not peer state).
-func (t *TrainStep) GradOwners() []int { return t.exe.GradOwners() }
+// ErrOwnerMismatch reports a compiled program in which some parameter's
+// gradient is produced on a different pipeline actor than the one the
+// parameter is placed on. Stage-local training state — each actor holds and
+// updates exactly the parameters it is stepped with — needs the two to agree.
+var ErrOwnerMismatch = errors.New("jaxpp: gradient and parameter live on different actors")
+
+// ParamOwners returns, per parameter, the pipeline actor (per-replica ID)
+// that both holds the parameter and produces its gradient — the owner table
+// stage-local training state and its owner-major flat layout derive from. It
+// reads only shared program metadata, so every rank learns the full table
+// under the hosted-actor filter. It fails with ErrOwnerMismatch when a
+// gradient is produced away from its parameter.
+func (t *TrainStep) ParamOwners() ([]int, error) {
+	nb := len(t.spec.BatchShapes)
+	out := make([]int, len(t.prog.Grads))
+	for gi, g := range t.prog.Grads {
+		p := t.prog.Params[nb+gi]
+		if p == nil || p.Actor != g.Actor {
+			placed := -1
+			if p != nil {
+				placed = p.Actor
+			}
+			return nil, fmt.Errorf("%w: gradient %d is produced on actor %d, its parameter is placed on actor %d", ErrOwnerMismatch, gi, g.Actor, placed)
+		}
+		out[gi] = g.Actor
+	}
+	return out, nil
+}
