@@ -22,6 +22,10 @@ type tierProfile struct {
 	ComputeFrac float64 `json:"compute_frac"`
 	WireFrac    float64 `json:"wire_frac"`
 	IdleFrac    float64 `json:"idle_frac"`
+	// SendHandoffUs is the mean delay from an asynchronous send's
+	// initiation to its sender worker's transport.Send call
+	// (actor/send_handoff); 0 when the tier issued no asynchronous send.
+	SendHandoffUs float64 `json:"send_handoff_us"`
 }
 
 // profileBlock joins the committed BENCH trajectory: per-tier breakdowns plus
@@ -69,6 +73,9 @@ func profileUnder(fn func() error) (*tierProfile, *obs.Snapshot, error) {
 		tp.ComputeFrac = float64(c) / float64(total)
 		tp.WireFrac = float64(w) / float64(total)
 		tp.IdleFrac = float64(i) / float64(total)
+	}
+	if h, ok := snap.ScopeByName("actor/send_handoff"); ok && h.Count > 0 {
+		tp.SendHandoffUs = float64(h.Total) / float64(h.Count) / 1e3
 	}
 	return tp, snap, nil
 }

@@ -78,6 +78,12 @@ func ValueAndGrad(g *ir.Graph, wrt []*ir.Value) (*ir.Graph, error) {
 		outputs = append(outputs, gv)
 	}
 	out.SetOutputs(outputs...)
+	// Prune what no output needs: the cotangents of non-wrt inputs (a
+	// batch's dx, one weight transpose and matmul per layer-0 backward) and
+	// any forward values only the dropped outputs used. Yields stay: a
+	// backward yield marks a stage boundary even when no gradient upstream
+	// of it consumes its cotangent (a stage without parameters).
+	out.DCEKeeping(func(e *ir.Equation) bool { return e.Op == ir.OpYield })
 	if err := out.Verify(); err != nil {
 		return nil, fmt.Errorf("autodiff: produced invalid graph: %w", err)
 	}

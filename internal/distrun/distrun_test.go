@@ -10,6 +10,8 @@ import (
 	"time"
 
 	"repro/internal/dist"
+	"repro/internal/ir"
+	"repro/internal/stage"
 )
 
 // launchWorld bootstraps spec.World() sessions over real localhost TCP
@@ -213,6 +215,33 @@ func TestDPxPPLossesBitForBitAcross4Ranks(t *testing.T) {
 	}
 	got := launchWorld(t, spec)
 	requireBitIdentical(t, got, local)
+}
+
+// TestStageZeroBackwardHasOneMatMul pins the dead-cotangent pruning on the
+// job model: stage 0's backward computes only its weight gradient (one
+// matmul), not the cotangent of the batch input, which nothing consumes.
+func TestStageZeroBackwardHasOneMatMul(t *testing.T) {
+	step, err := Compile(JobSpec{Stages: 2, NumMB: 4, MBRows: 4, Width: 8, Schedule: "1f1b"}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer step.Close()
+	for _, seg := range step.Program().Split.Segments {
+		if seg.Stage != 0 || seg.Kind != stage.Bwd {
+			continue
+		}
+		matmuls := 0
+		for _, e := range seg.Graph.Eqns {
+			if e.Op == ir.OpMatMul {
+				matmuls++
+			}
+		}
+		if matmuls != 1 {
+			t.Fatalf("stage 0 backward holds %d matmuls, want 1 (the weight gradient)", matmuls)
+		}
+		return
+	}
+	t.Fatal("no stage 0 backward segment")
 }
 
 // TestRunRejectsWorldMismatch pins the guard between a session's size and

@@ -59,3 +59,25 @@ func FuzzUnmarshalJobSpec(f *testing.F) {
 		}
 	})
 }
+
+// FuzzUnmarshalCollectiveSpec drives the collective verification's payload
+// decoder with arbitrary bytes: it must never panic, and every spec it
+// accepts must survive Marshal → UnmarshalCollectiveSpec unchanged.
+// Raw-payload seeds live under testdata/fuzz/FuzzUnmarshalCollectiveSpec.
+func FuzzUnmarshalCollectiveSpec(f *testing.F) {
+	f.Add(CollectiveSpec{World: 8, Elems: 131072, Iters: 3, Seed: 1, BucketBytes: 262144}.Marshal())
+	f.Add(CollectiveSpec{World: 5, Elems: 100003, Iters: 1, WireDType: "f32"}.Marshal())
+	f.Fuzz(func(t *testing.T, data []byte) {
+		spec, err := UnmarshalCollectiveSpec(data)
+		if err != nil {
+			return
+		}
+		again, err := UnmarshalCollectiveSpec(spec.Marshal())
+		if err != nil {
+			t.Fatalf("accepted spec %+v does not re-decode: %v", spec, err)
+		}
+		if again != spec {
+			t.Fatalf("round trip changed the spec:\n got %+v\nwant %+v", again, spec)
+		}
+	})
+}

@@ -122,6 +122,23 @@ func TestDCEKeepsTransitiveDeps(t *testing.T) {
 	}
 }
 
+func TestDCEKeepingRoots(t *testing.T) {
+	g := NewGraph("dce3")
+	a := g.AddInput([]int{2, 2}, "a")
+	out := g.MustEmit(OpReLU, Attrs{}, a)
+	dx := g.MustEmit(OpTranspose, Attrs{}, a) // feeds only the kept yield
+	g.MustEmit(OpYield, Attrs{Stage: 1, Bwd: true}, dx)
+	g.MustEmit(OpTanh, Attrs{}, a) // dead
+	g.SetOutputs(out)
+	removed := g.DCEKeeping(func(e *Equation) bool { return e.Op == OpYield })
+	if removed != 1 || len(g.Eqns) != 3 {
+		t.Fatalf("removed %d, left %d eqns; want 1 and 3", removed, len(g.Eqns))
+	}
+	if err := g.Verify(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestCloneIsDeep(t *testing.T) {
 	g, _, _, _, _ := buildFFN(t)
 	c := g.Clone()

@@ -70,7 +70,11 @@ func (g *Graph) Producer() map[int]int {
 
 // DCE removes equations whose outputs are not (transitively) needed by the
 // graph outputs. It returns the number of equations removed.
-func (g *Graph) DCE() int {
+func (g *Graph) DCE() int { return g.DCEKeeping(nil) }
+
+// DCEKeeping is DCE with extra roots: every equation root reports true for
+// is kept, with everything it needs, even when no output uses its result.
+func (g *Graph) DCEKeeping(root func(*Equation) bool) int {
 	live := make(map[int]bool)
 	for _, o := range g.Outputs {
 		live[o.ID] = true
@@ -79,7 +83,7 @@ func (g *Graph) DCE() int {
 	keep := make([]bool, len(g.Eqns))
 	for i := len(g.Eqns) - 1; i >= 0; i-- {
 		e := g.Eqns[i]
-		needed := false
+		needed := root != nil && root(e)
 		for _, o := range e.Outputs {
 			if live[o.ID] {
 				needed = true

@@ -154,11 +154,18 @@ func (ms *MetricsServer) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 			fmt.Fprintf(&b, "jaxpp_obs_counter{name=%q} %d\n", n, counts[i])
 		}
 	}
-	sNames, totals := ScopeTotals()
+	// Totals over counts give a scope's mean: e.g. actor/send_handoff's
+	// ns_total / count_total is the mean delay from an asynchronous send's
+	// initiation to its transport hand-off.
+	sNames, totals, counts := ScopeTotals()
 	if len(sNames) > 0 {
 		fmt.Fprint(&b, "# HELP jaxpp_obs_scope_ns_total Cumulative nanoseconds per obs scope.\n# TYPE jaxpp_obs_scope_ns_total counter\n")
 		for i, n := range sNames {
 			fmt.Fprintf(&b, "jaxpp_obs_scope_ns_total{name=%q} %d\n", n, totals[i])
+		}
+		fmt.Fprint(&b, "# HELP jaxpp_obs_scope_count_total Events recorded per obs scope.\n# TYPE jaxpp_obs_scope_count_total counter\n")
+		for i, n := range sNames {
+			fmt.Fprintf(&b, "jaxpp_obs_scope_count_total{name=%q} %d\n", n, counts[i])
 		}
 	}
 	w.Write([]byte(b.String()))

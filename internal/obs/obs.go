@@ -163,20 +163,22 @@ func CounterNames() ([]string, []int64) {
 	return out, vals
 }
 
-// ScopeTotals returns every registered scope's name and cumulative total
-// (nanoseconds for timed scopes, value sums for Observe scopes),
-// index-aligned. Cold path (allocates) — the /metrics passthrough.
-func ScopeTotals() ([]string, []int64) {
+// ScopeTotals returns every registered scope's name, cumulative total
+// (nanoseconds for timed scopes, value sums for Observe scopes) and event
+// count, index-aligned. Cold path (allocates) — the /metrics passthrough.
+func ScopeTotals() (names []string, totals, counts []int64) {
 	regMu.Lock()
-	names := scopeNames[1:]
+	registered := scopeNames[1:]
 	regMu.Unlock()
-	out := make([]string, len(names))
-	vals := make([]int64, len(names))
-	for i, n := range names {
-		out[i] = n
-		vals[i] = scopes[i+1].total.Load()
+	names = make([]string, len(registered))
+	totals = make([]int64, len(registered))
+	counts = make([]int64, len(registered))
+	for i, n := range registered {
+		names[i] = n
+		totals[i] = scopes[i+1].total.Load()
+		counts[i] = scopes[i+1].count.Load()
 	}
-	return out, vals
+	return names, totals, counts
 }
 
 // Add bumps a counter by n. Disabled: one atomic load and a branch.

@@ -2,7 +2,9 @@ package runtime
 
 import (
 	"fmt"
+	goruntime "runtime"
 	"sync"
+	"time"
 
 	"repro/internal/dist"
 	"repro/internal/obs"
@@ -17,6 +19,11 @@ var (
 	scRecv  = obs.Scope("actor/recv")
 	scAccum = obs.Scope("actor/accum")
 	scAdd   = obs.Scope("actor/add")
+	// scSendHandoff observes, per asynchronous send, the delay from OpSend
+	// initiation to the sender worker's transport.Send call — the hand-off
+	// the eager yield bounds. A large value means sends sit queued behind
+	// the actor's compute instead of overlapping it.
+	scSendHandoff = obs.Scope("actor/send_handoff")
 )
 
 // Actor is one long-lived SPMD execution unit: it owns an object store and
@@ -56,10 +63,13 @@ type Actor struct {
 
 // sendItem is one queued asynchronous send: the payload plus the store
 // buffer whose deferred deletion unblocks when the transfer completes.
+// queued is the initiation time, set only while the obs registry is
+// enabled (the actor/send_handoff observation).
 type sendItem struct {
-	tag int
-	t   *tensor.Tensor
-	buf taskgraph.BufID
+	tag    int
+	t      *tensor.Tensor
+	buf    taskgraph.BufID
+	queued time.Time
 }
 
 // segmentExecutable is a "compiled" pipeline segment: in this reproduction
@@ -109,6 +119,9 @@ func (a *Actor) Load(prog []taskgraph.Instr, segs []*segmentExecutable) {
 	for peer := range peers {
 		peer := peer
 		a.senders[peer] = dist.NewMailbox(0, func(it sendItem) {
+			if !it.queued.IsZero() {
+				obs.Observe(scSendHandoff, int64(time.Since(it.queued)))
+			}
 			a.transport.Send(a.ID, peer, it.tag, it.t)
 			a.Store.SendDone(it.buf)
 			a.sendWG.Done()
@@ -192,7 +205,18 @@ func (a *Actor) exec(in taskgraph.Instr) error {
 		// into the destination's persistent sender worker never blocks.
 		a.Store.SendStarted(in.Buf)
 		a.sendWG.Add(1)
-		a.senders[in.Peer].Put(sendItem{tag: in.Tag, t: t, buf: in.Buf})
+		it := sendItem{tag: in.Tag, t: t, buf: in.Buf}
+		if obs.Enabled() {
+			it.queued = time.Now()
+		}
+		a.senders[in.Peer].Put(it)
+		// Eager hand-off: yield once so the sender worker (and, over TCP,
+		// the link's writer) runs now. On a single-P process neither
+		// goroutine would otherwise run until this actor blocks — after its
+		// next segment — so the peer's compute could never overlap ours.
+		// The yield only reorders runnable goroutines; it never waits on
+		// the peer, so initiating a send still never blocks (§4.2).
+		goruntime.Gosched()
 		return nil
 
 	case taskgraph.OpRecv:
